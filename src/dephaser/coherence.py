@@ -325,10 +325,65 @@ def check_certificate(ch: Channel, cert: RobustnessCertificate,
     return report
 
 
+GRID_CHUNK = 200_000  # grid points per batched eigensolve
+GRID_COARSE = 40  # coarse scan is GRID_COARSE x GRID_COARSE interior points
+
+
+def _grid_smin(o: np.ndarray, al: np.ndarray, be: np.ndarray) -> np.ndarray:
+    """s(alpha, beta) = max(0, -lambda_min(D^-1/2 O D^-1/2)) with
+    D = diag(alpha, beta, 1 - alpha, 1 - beta), at each point (al[i], be[i]).
+
+    Where a diagonal entry of D is zero (the square's edges) its row and
+    column are dropped, or s = inf if O has mass in that row. Points are
+    grouped by which entries are zero and each group is one batched
+    eigensolve, in chunks of at most GRID_CHUNK points.
+    """
+    diag = np.stack([al, be, 1 - al, 1 - be], axis=1)
+    zero = diag <= 1e-15
+    pattern = zero @ (1 << np.arange(4))
+    out = np.empty(al.size)
+    for key in np.unique(pattern):
+        idx = np.flatnonzero(pattern == key)
+        gone = zero[idx[0]]
+        if np.any(np.abs(o[gone, :]) > 1e-15):
+            out[idx] = math.inf  # forced zero diagonal cannot cover off-diagonal mass
+            continue
+        keep = ~gone
+        on = o[np.ix_(keep, keep)]
+        for s0 in range(0, idx.size, GRID_CHUNK):
+            sel = idx[s0 : s0 + GRID_CHUNK]
+            dinv = 1.0 / np.sqrt(diag[np.ix_(sel, keep)])
+            ms = on[None, :, :] * dinv[:, :, None] * dinv[:, None, :]
+            out[sel] = np.maximum(0.0, -np.linalg.eigvalsh(ms)[:, 0])
+    return out
+
+
 def robustness_grid(ch: Channel, resolution: float = 1e-3) -> float:
     """Brute-force oracle for robustness at d=2: the two free diagonal
-    fractions (alpha, beta) are scanned on a grid and the minimal PSD scale
-    is computed per point; accurate to about the grid resolution."""
+    fractions (alpha, beta) of the noise are taken on the grid
+    {0, resolution, ..., 1} and the minimal PSD scale s(alpha, beta) is
+    computed per point; R = 2 min s, accurate to about the grid resolution.
+
+    The value is the minimum over the whole grid, but only part of the grid
+    is visited. s is quasiconvex: its sublevel set {s <= t} is
+    {(alpha, beta): t D(alpha, beta) + O >= 0}, an LMI affine in
+    (alpha, beta), hence convex. So if every point on the boundary of a
+    window is strictly above the window's minimum m, no point outside the
+    window goes below m: the segment from it to the window's minimiser would
+    stay in {s <= m} and cross the boundary at or below m. The square's four
+    edges (alpha or beta in {0, 1}) are always evaluated in full. The
+    interior is scanned on a coarse GRID_COARSE x GRID_COARSE grid, then at
+    full resolution in a window around the coarse minimum whose half-width
+    doubles until every window side not on the interior's border is
+    strictly above the window minimum; a window that reaches the whole
+    interior is the exhaustive scan. The stop test looks at grid points
+    only, so a sublevel set could in principle pass between two
+    neighbouring boundary points; requiring strict inequality means ties
+    and plateaus keep the window growing, which guards against a dip
+    between neighbouring edge points of equal value.
+    """
+    if not (math.isfinite(resolution) and 0.0 < resolution <= 0.5):
+        raise ValueError(f"grid resolution must be finite and in (0, 0.5], got {resolution!r}")
     d = ch.dim
     if d != 2:
         raise ValueError("grid oracle only implemented for d=2")
@@ -338,43 +393,32 @@ def robustness_grid(ch: Channel, resolution: float = 1e-3) -> float:
         return 0.0
     steps = int(round(1.0 / resolution))
     fr = np.linspace(0.0, 1.0, steps + 1)
-    best = math.inf
-    interior = fr[1:-1]
-    aa, bb = np.meshgrid(interior, interior, indexing="ij")
-    al = aa.ravel()
-    be = bb.ravel()
-    chunk = 200000
-    for s0 in range(0, al.size, chunk):
-        alc = al[s0 : s0 + chunk]
-        bec = be[s0 : s0 + chunk]
-        diag = np.stack([alc, bec, 1 - alc, 1 - bec], axis=1)
-        dinv = 1.0 / np.sqrt(diag)
-        ms = o[None, :, :] * dinv[:, :, None] * dinv[:, None, :]
-        wmin = np.linalg.eigvalsh(ms)[:, 0]
-        smin = np.maximum(0.0, -wmin)
-        best = min(best, float(smin.min()))
 
-    def boundary_smin(al0: float, be0: float) -> float:
-        diag = np.array([al0, be0, 1 - al0, 1 - be0])
-        zero = diag <= 1e-15
-        if np.any(np.abs(o[zero, :]) > 1e-15):
-            return math.inf  # forced zero diagonal cannot cover off-diagonal mass
-        keep = ~zero
-        on = o[np.ix_(keep, keep)]
-        dn = diag[keep]
-        if dn.size == 0:
-            return 0.0
-        di = 1.0 / np.sqrt(dn)
-        m = on * di[:, None] * di[None, :]
-        return max(0.0, -float(np.linalg.eigvalsh(m)[0]))
+    def smin(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        return _grid_smin(o, fr[ia.ravel()], fr[ib.ravel()]).reshape(ia.shape)
 
-    for al0 in fr:
-        for be0 in (0.0, 1.0):
-            best = min(best, boundary_smin(al0, be0))
-    for be0 in fr:
-        for al0 in (0.0, 1.0):
-            best = min(best, boundary_smin(al0, be0))
-    return 2.0 * best
+    every = np.arange(steps + 1)
+    ends = np.array([0, steps])
+    best = float(min(smin(*np.meshgrid(ends, every, indexing="ij")).min(),
+                     smin(*np.meshgrid(every, ends, indexing="ij")).min()))
+
+    lo, hi = 1, steps - 1
+    coarse = np.unique(np.linspace(lo, hi, GRID_COARSE).round().astype(int))
+    vals = smin(*np.meshgrid(coarse, coarse, indexing="ij"))
+    ka, kb = np.unravel_index(np.argmin(vals), vals.shape)
+    ca, cb = int(coarse[ka]), int(coarse[kb])
+    half = max(1, math.ceil((hi - lo) / (GRID_COARSE - 1)))
+    while True:
+        a0, a1 = max(lo, ca - half), min(hi, ca + half)
+        b0, b1 = max(lo, cb - half), min(hi, cb + half)
+        win = smin(*np.meshgrid(np.arange(a0, a1 + 1), np.arange(b0, b1 + 1), indexing="ij"))
+        m = win.min()
+        sides = [side for side, inner in ((win[0], a0 > lo), (win[-1], a1 < hi),
+                                          (win[:, 0], b0 > lo), (win[:, -1], b1 < hi)) if inner]
+        if all(side.min() > m for side in sides):
+            break
+        half *= 2
+    return 2.0 * min(best, float(m))
 
 
 @dataclass(frozen=True)

@@ -280,7 +280,8 @@ def _nearest_product(c: np.ndarray, d: int) -> tuple[float, float]:
     obtained from the leading singular pair of the realigned matrix."""
     r = realign(c, d)
     u, s, vh = np.linalg.svd(r)
-    ratio = float(s[1] / s[0]) if s[0] > 0 else 0.0
+    # a 1 x 1 realignment (d = 1) has rank 1, hence ratio 0
+    ratio = float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
     a = np.sqrt(s[0]) * u[:, 0].reshape(d, d)
     b = np.sqrt(s[0]) * vh[0].reshape(d, d)
     # project the rank-1 factors onto actual correlation matrices: rescale so

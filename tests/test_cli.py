@@ -90,6 +90,16 @@ def test_classify_product(tmp_path, capsys):
     assert parse_report(out)["results"]["memory_class"]["label"] == "PRODUCT"
 
 
+def test_classify_sampled_dim_one(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "sample", "--dim", "1", "--n", "1")
+    assert code == 0
+    path = tmp_path / "sc1.json"
+    path.write_text(ser.dumps(parse_report(out)["results"]["items"][0]))
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert parse_report(out)["results"]["memory_class"]["label"] == "PRODUCT"
+
+
 def test_classify_invalid_reports_witness(tmp_path, capsys):
     c = np.ones((4, 4))
     c[1, 1] = 0.5

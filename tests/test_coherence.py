@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,28 @@ def test_robustness_matches_grid_on_random_qubits():
 def test_robustness_grid_rejects_large_dims():
     with pytest.raises(ValueError):
         coh.robustness_grid(chn.identity_channel(3))
+
+
+def test_robustness_grid_matches_exhaustive_scan():
+    rng = Rng(81)
+    dephasing = chn.dephasing_channel(chn.dephasing_c(np.array([[1.0, 0.6], [0.6, 1.0]])))
+    # the dephasing channel's minimum sits at the corner alpha = 1, beta = 0
+    cases = [(chn.unitary_channel(HAD), 1e-3), (dephasing, 1e-3)]
+    cases += [(chn.random_channel(rng.derive(t), 2, 1 + t % 4), 4e-3) for t in range(8)]
+    for ch, resolution in cases:
+        jam = ch.jam
+        o = -(jam - np.diag(np.diag(jam)))
+        fr = np.linspace(0.0, 1.0, int(round(1.0 / resolution)) + 1)
+        aa, bb = np.meshgrid(fr, fr, indexing="ij")
+        exhaustive = 2.0 * float(coh._grid_smin(o, aa.ravel(), bb.ravel()).min())
+        assert abs(coh.robustness_grid(ch, resolution) - exhaustive) <= 1e-12
+    assert abs(coh.robustness_grid(dephasing) - 0.6) < 1e-3
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, 0.51, 2.0, math.nan, math.inf])
+def test_robustness_grid_rejects_bad_resolution(bad):
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        coh.robustness_grid(chn.unitary_channel(HAD), resolution=bad)
 
 
 def test_seesaw_hadamard_perfect_discrimination():
