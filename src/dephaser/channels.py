@@ -23,13 +23,13 @@ from .linalg import (
     TOL_UNIT,
     assert_hermitian,
     complete_isometry,
+    gram_vectors,
     herm_eig,
     kron,
     partial_trace,
     reshuffle,
-    schur,
 )
-from .sampling import Rng, haar_unitary
+from .sampling import Rng, haar_unitary, haar_vector
 
 KRAUS_PRUNE_TOL = 1e-12
 
@@ -57,7 +57,7 @@ def assert_correlation(c: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     diag_dev = np.abs(np.diag(c) - 1.0).max()
     if diag_dev > tol:
         raise ValueError(f"diagonal entries deviate from 1 by {diag_dev:.3e}")
-    w, _ = herm_eig(c)
+    w, _ = np.linalg.eigh(c)  # checked Hermitian above
     if w.min() < -tol:
         raise ValueError(f"not PSD: min eigenvalue {w.min():.3e}")
     return c
@@ -75,7 +75,7 @@ def assert_state(rho: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     tr = np.trace(rho).real
     if abs(tr - 1.0) > tol:
         raise ValueError(f"trace is {tr}, not 1")
-    w, _ = herm_eig(rho)
+    w, _ = np.linalg.eigh(rho)  # checked Hermitian above
     if w.min() < -tol:
         raise ValueError(f"state not PSD: min eigenvalue {w.min():.3e}")
     return rho
@@ -87,7 +87,7 @@ def check_channel(ch: Channel, tol: float = TOL_PSD) -> None:
     jam = assert_hermitian(ch.jam, TOL_HERM)
     if jam.shape != (d * d, d * d):
         raise ValueError(f"jam shape {jam.shape} does not match dim {d}")
-    w, _ = herm_eig(jam)
+    w, _ = np.linalg.eigh(jam)  # checked Hermitian above
     if w.min() < -tol:
         raise ValueError(f"not completely positive: min eigenvalue {w.min():.3e}")
     tp_dev = np.abs(partial_trace(jam, (d, d), 1) - np.eye(d) / d).max()
@@ -119,7 +119,7 @@ def from_kraus(ks: Sequence[np.ndarray], tol: float = TOL_PSD) -> Channel:
         raise ValueError("Kraus operators must all be d x d")
     comp = sum(k.conj().T @ k for k in ks)
     dev = np.abs(comp - np.eye(d)).max()
-    if dev > tol:
+    if not dev <= tol:  # also rejects NaN
         raise ValueError(f"Kraus completeness violated by {dev:.3e}")
     return Channel(dim=d, jam=_jam_from_kraus(ks, d), kraus=tuple(ks))
 
@@ -159,10 +159,16 @@ def apply(ch: Channel, rho: np.ndarray, via: str = "auto", tol: float = TOL_PSD)
     via = "kraus" forces the Kraus sum, "jam" the contraction
     d * Tr_2[jam (1 (x) rho^T)]; "auto" uses cached Kraus when present.
     """
-    d = ch.dim
     rho = assert_state(rho, tol)
-    if rho.shape != (d, d):
-        raise ValueError(f"state dim {rho.shape[0]} does not match channel dim {d}")
+    if rho.shape != (ch.dim, ch.dim):
+        raise ValueError(f"state dim {rho.shape[0]} does not match channel dim {ch.dim}")
+    return _apply(ch, rho, via)
+
+
+def _apply(ch: Channel, rho: np.ndarray, via: str = "auto") -> np.ndarray:
+    """apply() without its argument checks, for callers whose rho is a
+    complex density matrix of the channel's dimension by construction."""
+    d = ch.dim
     if via == "auto":
         via = "kraus" if ch.kraus is not None else "jam"
     if via == "kraus":
@@ -204,12 +210,8 @@ def stinespring(ch: Channel, complete: bool = False) -> np.ndarray:
     w = np.stack(ks, axis=1).reshape(d * r, d)
     if not complete:
         return w
-    pairs = []
-    for j in range(d):
-        e = np.zeros(d * r, dtype=complex)
-        e[j * r] = 1.0
-        pairs.append((e, w[:, j]))
-    return complete_isometry(pairs, dim=d * r)
+    eye = np.eye(d * r, dtype=complex)
+    return complete_isometry([(eye[j * r], w[:, j]) for j in range(d)], dim=d * r)
 
 
 def identity_channel(d: int) -> Channel:
@@ -220,63 +222,43 @@ def identity_channel(d: int) -> Channel:
 def unitary_channel(u: np.ndarray, tol: float = TOL_UNIT) -> Channel:
     """The channel rho -> U rho U^dag."""
     u = np.asarray(u, dtype=complex)
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > tol:
+    if not np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= tol:
         raise ValueError("matrix is not unitary")
     return from_kraus([u])
 
 
 def completely_dephasing(d: int) -> Channel:
     """The channel that zeroes all off-diagonal entries (diagonal projection)."""
-    ks = []
-    for i in range(d):
-        k = np.zeros((d, d), dtype=complex)
-        k[i, i] = 1.0
-        ks.append(k)
-    return from_kraus(ks)
+    return from_kraus([np.diag(e) for e in np.eye(d, dtype=complex)])
 
 
 def dephasing_channel(dc: DephasingChannelC) -> Channel:
     """Channel rho -> rho o C with Jamiolkowski entries J[(ii),(jj)] = C_ij / d."""
     d = dc.dim
     jam = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            jam[i * d + i, j * d + j] = dc.c[i, j] / d
+    idx = np.arange(d) * (d + 1)
+    jam[np.ix_(idx, idx)] = dc.c / d
     return Channel(dim=d, jam=jam, kraus=tuple(dephasing_kraus(dc)))
 
 
 def dephasing_kraus(dc: DephasingChannelC, prune_tol: float = KRAUS_PRUNE_TOL) -> list[np.ndarray]:
     """Diagonal Kraus operators K_k = diag over i of the k-th component of the
     Gram vectors of C; operators with negligible norm are pruned."""
-    from .linalg import gram_vectors
-
-    d = dc.dim
     psi = gram_vectors(dc.c)  # row i is the vector realizing C_ij = <psi_j|psi_i>
-    ks = []
-    for k in range(d):
-        diag = psi[:, k]
-        if np.abs(diag).max() > prune_tol:
-            ks.append(np.diag(diag))
-    return ks
+    return [np.diag(col) for col in psi.T if np.abs(col).max() > prune_tol]
 
 
 def complementary_dephasing(dc: DephasingChannelC) -> Channel:
     """The measure-and-prepare complement rho -> sum_i rho_ii |psi_i><psi_i|."""
-    from .linalg import gram_vectors
-
-    d = dc.dim
     psi = gram_vectors(dc.c)
-    ks = []
-    for i in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[i] = 1.0
-        ks.append(np.outer(psi[i], e))
-    return from_kraus(ks)
+    return from_kraus([np.outer(p, e) for p, e in zip(psi, np.eye(dc.dim, dtype=complex))])
 
 
 def assert_stochastic(t: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     """Check a column-stochastic matrix: entries >= 0, columns summing to 1."""
     t = np.asarray(t)
+    if not np.isfinite(t).all():
+        raise ValueError("transition matrix has non-finite entries")
     if np.abs(np.asarray(t, dtype=complex).imag).max() > tol:
         raise ValueError("transition matrix must be real")
     t = np.real(np.asarray(t, dtype=complex))
@@ -313,8 +295,6 @@ def classical_version(ch: Channel) -> Channel:
 
 def random_dephasing(rng: Rng, d: int) -> DephasingChannelC:
     """Random correlation matrix: the Gram matrix of d Haar-random unit vectors."""
-    from .sampling import haar_vector
-
     vs = np.stack([haar_vector(rng.derive(i), d) for i in range(d)], axis=1)
     return dephasing_c(vs.conj().T @ vs)
 

@@ -202,13 +202,7 @@ def _cmd_sample(args, tol: dict, seed: int):
 
 
 def _cmd_classify(args, tol: dict, seed: int):
-    obj = _load_json(args.input)
-    if not isinstance(obj, dict) or "dim" not in obj or "correlation" not in obj:
-        raise ValueError("superchannel JSON needs dim and correlation fields")
-    d = int(obj["dim"])
-    c = ser.matrix_from_json(obj["correlation"])
-    if c.shape != (d * d, d * d):
-        raise ValueError(f"correlation shape {c.shape} does not match dim {d}")
+    c, d = ser.correlation_from_json(_load_json(args.input))
     out = ssc.validate(c, d, tol["psd"])
     if isinstance(out, ssc.Violation):
         results = {
@@ -239,7 +233,7 @@ def _cmd_classify(args, tol: dict, seed: int):
 def _cmd_apply(args, tol: dict, seed: int):
     sc = ser.superchannel_from_json(_load_json(args.superchannel), tol["psd"])
     ch = ser.channel_from_json(_load_json(args.channel), tol["psd"])
-    out = ssc.apply(sc, ch, tol["psd"])
+    out = ssc.apply(sc, ch)
     t_in = chn.transition_matrix(ch)
     t_out = chn.transition_matrix(out)
     results = {

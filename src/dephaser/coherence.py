@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL_PSD, herm_eig, kron
+from .linalg import TOL_PSD, kron
 from .channels import (
     Channel,
-    apply as channel_apply,
+    _apply as _channel_apply,
     assert_state,
+    random_channel,
     to_kraus,
     transition_matrix,
 )
@@ -48,11 +49,16 @@ def state_coherence(rho: np.ndarray, measure: str = L1, tol: float = TOL_PSD) ->
     L1: sum of absolute values of off-diagonal entries. REL_ENT: entropy of
     the dephased state minus entropy of the state, in bits.
     """
-    rho = assert_state(rho, tol)
+    return _state_coherence(assert_state(rho, tol), measure)
+
+
+def _state_coherence(rho: np.ndarray, measure: str) -> float:
+    """state_coherence() without validating rho, for callers whose rho is a
+    complex density matrix by construction."""
     if measure == L1:
         return float(np.abs(rho - np.diag(np.diag(rho))).sum())
     if measure == REL_ENT:
-        w, _ = herm_eig(rho)
+        w, _ = np.linalg.eigh(rho)
         diag = np.clip(np.diag(rho).real, 0.0, None)
         val = _entropy_bits(diag) - _entropy_bits(np.clip(w, 0.0, None))
         return max(val, 0.0)
@@ -60,13 +66,15 @@ def state_coherence(rho: np.ndarray, measure: str = L1, tol: float = TOL_PSD) ->
 
 
 def cohering_power(ch: Channel, measure: str = L1) -> float:
-    """Maximum coherence the channel creates from a basis state."""
+    """Maximum coherence the channel creates from a basis state. The basis
+    states and their images under the channel are density matrices by
+    construction, so neither is re-validated."""
     d = ch.dim
     best = 0.0
     for k in range(d):
         e = np.zeros((d, d), dtype=complex)
         e[k, k] = 1.0
-        best = max(best, state_coherence(channel_apply(ch, e), measure))
+        best = max(best, _state_coherence(_channel_apply(ch, e), measure))
     return best
 
 
@@ -84,8 +92,18 @@ def hypothesis_test_divergence(rho: np.ndarray, sigma: np.ndarray, eps: float = 
     sigma = assert_state(sigma, tol)
     if rho.shape != sigma.shape:
         raise ValueError("states must have equal dims")
+    _check_eps(eps)
+    return _dh(rho, sigma, eps)
+
+
+def _check_eps(eps: float) -> None:
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
+
+
+def _dh(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
+    """hypothesis_test_divergence() without its argument checks, for callers
+    whose states and eps are valid by construction."""
     val = _np_test_optimum(rho, sigma, eps)
     if val <= DH_VALUE_FLOOR:
         return math.inf
@@ -152,18 +170,19 @@ def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
 
     The maximally entangled state is always a candidate; further candidates
     are Haar-random pure states with per-candidate derived seeds, so the
-    bound is nondecreasing in restarts for a fixed base seed.
+    bound is nondecreasing in restarts for a fixed base seed. The lifted
+    output states are density matrices by construction and are not
+    re-validated.
     """
     if e1.dim != e2.dim:
         raise ValueError("channels must have equal dims")
+    _check_eps(eps)
     if rng is None:
         rng = Rng(0)
     d = e1.dim
     lifted1 = [kron(k, np.eye(d)) for k in to_kraus(e1)]
     lifted2 = [kron(k, np.eye(d)) for k in to_kraus(e2)]
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0 / np.sqrt(d)
+    phi = (np.eye(d).reshape(-1) / np.sqrt(d)).astype(complex)
     candidates = [phi]
     for i in range(1, restarts + 1):
         candidates.append(haar_vector(rng.derive(i), d * d))
@@ -172,7 +191,7 @@ def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
         rho_in = np.outer(psi, psi.conj())
         out1 = sum(k @ rho_in @ k.conj().T for k in lifted1)
         out2 = sum(k @ rho_in @ k.conj().T for k in lifted2)
-        val = hypothesis_test_divergence(out1, out2, eps)
+        val = _dh(out1, out2, eps)
         if val > best:
             best = val
         if math.isinf(best):
@@ -483,9 +502,7 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     for sc in scs:
         out = super_apply(sc, gate)
         ksets.append([kron(k, np.eye(d)) for k in to_kraus(out)])
-    phi = np.zeros(n, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0 / np.sqrt(d)
+    phi = (np.eye(d).reshape(-1) / np.sqrt(d)).astype(complex)
 
     def outputs(psi: np.ndarray) -> list[np.ndarray]:
         rho = np.outer(psi, psi.conj())
@@ -558,8 +575,6 @@ def monotonicity_suite(rng: Rng, trials: int, d: int, measure: str = L1,
     """Monte Carlo check that dephasing superchannels never increase the
     cohering power of a channel. Reports the worst signed violation and the
     distribution of the slack cohering_power(E) - cohering_power(Xi[E])."""
-    from .channels import random_channel
-
     gaps = []
     worst = -math.inf
     violations = 0

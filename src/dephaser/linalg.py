@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 TOL_HERM = 1e-10
-TOL_EIG = 1e-10
 TOL_UNIT = 1e-10
 TOL_PSD = 1e-9
 PIVOT_TOL = 1e-9
@@ -27,14 +26,16 @@ def _as_complex(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(np.asarray(m, dtype=complex).imag)):
-        raise ValueError("matrix has non-finite entries")
     return np.asarray(m, dtype=complex)
 
 
 def assert_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Return m as a complex array, raising if it is not Hermitian within tol."""
+    """Return m as a complex array, raising if it has a non-finite entry or is
+    not Hermitian within tol. Every validator goes through here, so this is
+    the package's one finiteness scan."""
     m = _as_complex(m)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix is not square: {m.shape}")
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
@@ -90,21 +91,15 @@ def reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     """Reorder entries of a d^2 x d^2 matrix: output (ij),(kl) = input (ik),(jl).
 
     The permutation is an involution; it converts between the bipartite
-    (Jamiolkowski) index grouping and the superoperator grouping.
+    (Jamiolkowski) index grouping and the superoperator grouping. It is also
+    the realignment of a bipartite matrix: a product A (x) B reshuffles to
+    the rank-1 matrix vec(A) vec(B^T)^T, which is the basis of the product
+    test.
     """
     m = _as_complex(m)
     if m.shape != (d * d, d * d):
         raise ValueError(f"reshuffle needs a {d * d}x{d * d} matrix, got {m.shape}")
     return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-
-def realign(m: np.ndarray, d: int) -> np.ndarray:
-    """Realignment of a bipartite matrix: (ij),(kl) -> (ik),(jl).
-
-    A product A (x) B realigns to the rank-1 matrix vec(A) vec(B^T)^T, which
-    is the basis of the product test. Same index permutation as reshuffle.
-    """
-    return reshuffle(m, d)
 
 
 def herm_eig(m: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:

@@ -43,6 +43,11 @@ def matrix_from_json(obj) -> np.ndarray:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ValueError(f"matrix entry {pos} is not a [re, im] pair")
         flat[pos] = complex(float(entry[0]), float(entry[1]))
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        pos = int(bad[0])
+        raise ValueError(f"matrix entry {pos} (row {pos // cols}, col {pos % cols}) "
+                         f"is non-finite: {data[pos]!r}")
     return flat.reshape(rows, cols)
 
 
@@ -82,13 +87,20 @@ def superchannel_to_json(sc: DephasingSuperchannel) -> dict:
     return {"dim": int(sc.dim), "correlation": matrix_to_json(sc.c)}
 
 
-def superchannel_from_json(obj, tol: float = 1e-9) -> DephasingSuperchannel:
+def correlation_from_json(obj) -> tuple[np.ndarray, int]:
+    """(C, d) of a superchannel JSON object; checks the fields and C's shape
+    against d, but leaves the superchannel conditions to the caller."""
     if not isinstance(obj, dict) or "dim" not in obj or "correlation" not in obj:
         raise ValueError("superchannel JSON needs dim and correlation fields")
     d = int(obj["dim"])
     c = matrix_from_json(obj["correlation"])
     if c.shape != (d * d, d * d):
         raise ValueError(f"correlation shape {c.shape} does not match dim {d}")
+    return c, d
+
+
+def superchannel_from_json(obj, tol: float = 1e-9) -> DephasingSuperchannel:
+    c, d = correlation_from_json(obj)
     return superchannel(c, d, tol)
 
 

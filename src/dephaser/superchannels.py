@@ -24,10 +24,10 @@ from .linalg import (
     kron,
     partial_trace,
     partial_transpose,
-    realign,
+    reshuffle,
     schur,
 )
-from .channels import Channel, DephasingChannelC, dephasing_c, from_jam, from_kraus
+from .channels import Channel, DephasingChannelC, from_jam, from_kraus
 from .sampling import Rng, haar_unitary
 
 NOT_PSD = "NOT_PSD"
@@ -94,22 +94,16 @@ class MemoryClass:
     product_residual: float
 
 
-def _first_diagonal_violation(c: np.ndarray, d: int, tol: float):
-    for a in range(d * d):
-        dev = abs(c[a, a] - 1.0)
-        if dev > tol:
-            return divmod(a, d), c[a, a].real - 1.0
-    return None, 0.0
+def _first_diagonal_violation(c: np.ndarray, d: int, tol: float) -> tuple[int, int] | None:
+    bad = np.flatnonzero(np.abs(np.diag(c) - 1.0) > tol)
+    return divmod(int(bad[0]), d) if bad.size else None
 
 
-def _first_block_violation(c: np.ndarray, d: int, tol: float):
-    for i1 in range(1, d):
-        for k in range(d):
-            for l in range(d):
-                dev = c[i1 * d + k, i1 * d + l] - c[k, l]
-                if abs(dev) > tol:
-                    return (0, i1, k, l), dev
-    return None, 0.0
+def _first_block_violation(c: np.ndarray, d: int, tol: float) -> tuple[int, ...] | None:
+    # (i1, k, l) in lexicographic order where block i1 differs from block 0
+    blocks = np.einsum("ikil->ikl", c.reshape(d, d, d, d))
+    bad = np.argwhere(np.abs(blocks[1:] - blocks[0]) > tol)
+    return (0, int(bad[0, 0]) + 1, int(bad[0, 1]), int(bad[0, 2])) if bad.size else None
 
 
 def _tp_defect(ch: Channel, c: np.ndarray, d: int) -> float:
@@ -124,15 +118,15 @@ def validate(c: np.ndarray, d: int, tol: float = TOL_PSD) -> DephasingSuperchann
     c = assert_hermitian(c, TOL_HERM)
     if c.shape != (d * d, d * d):
         raise ValueError(f"correlation shape {c.shape} does not match dim {d}")
-    idx, _dev = _first_diagonal_violation(c, d, tol)
+    idx = _first_diagonal_violation(c, d, tol)
     if idx is not None:
         ch = _diagonal_witness(d, idx)
         return Violation(DIAGONAL_NOT_ONE, idx, _tp_defect(ch, c, d), ch)
-    idx, _dev = _first_block_violation(c, d, tol)
+    idx = _first_block_violation(c, d, tol)
     if idx is not None:
         ch = _block_witness(d, idx)
         return Violation(BLOCKS_UNEQUAL, idx, _tp_defect(ch, c, d), ch)
-    w, _ = herm_eig(c)
+    w, _ = np.linalg.eigh(c)  # checked Hermitian above
     if w.min() < -tol:
         return Violation(NOT_PSD, (), float(w.min()), None)
     return DephasingSuperchannel(dim=d, c=c)
@@ -147,14 +141,9 @@ def superchannel(c: np.ndarray, d: int, tol: float = TOL_PSD) -> DephasingSuperc
 
 
 def _diagonal_witness(d: int, idx: tuple[int, int]) -> Channel:
-    # constant channel E(rho) = |j><j|; jam = (|j><j| (x) 1) / d
-    j, _k = idx
-    ks = []
-    for m in range(d):
-        op = np.zeros((d, d), dtype=complex)
-        op[j, m] = 1.0
-        ks.append(op)
-    return from_kraus(ks)
+    # constant channel E(rho) = |j><j| with j = idx[0]: Kraus ops |j><m|
+    eye = np.eye(d, dtype=complex)
+    return from_kraus([np.outer(eye[idx[0]], e) for e in eye])
 
 
 def _block_witness(d: int, idx: tuple[int, int, int, int]) -> Channel:
@@ -174,23 +163,30 @@ def witness(c: np.ndarray, d: int, kind: str) -> Channel:
     preservation; the defect is quantified by the validate() report."""
     c = assert_hermitian(c, TOL_HERM)
     if kind == DIAGONAL_NOT_ONE:
-        idx, _dev = _first_diagonal_violation(c, d, 0.0)
+        idx = _first_diagonal_violation(c, d, 0.0)
         if idx is None:
             raise ValueError("diagonal is exactly one everywhere; no witness")
         return _diagonal_witness(d, idx)
     if kind == BLOCKS_UNEQUAL:
-        idx, _dev = _first_block_violation(c, d, 0.0)
+        idx = _first_block_violation(c, d, 0.0)
         if idx is None:
             raise ValueError("diagonal blocks are exactly equal; no witness")
         return _block_witness(d, idx)
     raise ValueError(f"no trace-preservation witness for violation kind {kind!r}")
 
 
-def apply(sc: DephasingSuperchannel, ch: Channel, tol: float = TOL_PSD) -> Channel:
-    """Xi[E]: Schur product on the Jamiolkowski matrix. Output is validated."""
+def apply(sc: DephasingSuperchannel, ch: Channel, tol: float | None = None) -> Channel:
+    """Xi[E]: Schur product on the Jamiolkowski matrix.
+
+    The output is a channel by proof, so it is not re-validated: J(E) o C is
+    PSD by the Schur product theorem, and with C_0 the diagonal block that
+    all d diagonal blocks equal, Tr_1(J(E) o C)_kl = C_0[k,l] Tr_1(J(E))_kl
+    = C_0[k,l] delta_kl / d = delta_kl / d by the unit diagonal. tol is
+    ignored; it is accepted for callers that still pass it.
+    """
     if sc.dim != ch.dim:
         raise ValueError(f"dim mismatch: superchannel {sc.dim}, channel {ch.dim}")
-    return from_jam(schur(ch.jam, sc.c), tol)
+    return Channel(dim=sc.dim, jam=schur(ch.jam, sc.c))
 
 
 def super_jamiolkowski(sc: DephasingSuperchannel) -> np.ndarray:
@@ -203,15 +199,17 @@ def super_jamiolkowski(sc: DephasingSuperchannel) -> np.ndarray:
     return j
 
 
-def apply_via_super_jam(sc: DephasingSuperchannel, ch: Channel, tol: float = TOL_PSD) -> Channel:
+def apply_via_super_jam(sc: DephasingSuperchannel, ch: Channel) -> Channel:
     """Xi[E] computed by contracting the superchannel's own Jamiolkowski
-    matrix against J(E); agrees with apply up to roundoff."""
+    matrix against J(E); agrees with apply up to roundoff. The contraction
+    picks out the entries J(E)_ab C_ab, so the output is apply's, and a
+    channel by the same proof."""
     if sc.dim != ch.dim:
         raise ValueError(f"dim mismatch: superchannel {sc.dim}, channel {ch.dim}")
     d2 = sc.dim * sc.dim
     big = super_jamiolkowski(sc)
     out = d2 * partial_trace(big @ kron(np.eye(d2), ch.jam.T), (d2, d2), 2)
-    return from_jam(out, tol)
+    return Channel(dim=sc.dim, jam=out)
 
 
 def realize(sc: DephasingSuperchannel) -> SuperRealization:
@@ -228,8 +226,7 @@ def realize(sc: DephasingSuperchannel) -> SuperRealization:
     d = sc.dim
     m = d * d
     xi = gram_vectors(sc.c)  # row a = xi_a, dimension d^2
-    e0 = np.zeros(m, dtype=complex)
-    e0[0] = 1.0
+    e0 = np.eye(m, dtype=complex)[0]
     us = tuple(complete_isometry([(e0, xi[k])], dim=m) for k in range(d))
     vs = [np.eye(m, dtype=complex)]
     for i in range(1, d):
@@ -252,7 +249,7 @@ def from_unitaries(us, vs, tol: float = TOL_PSD) -> DephasingSuperchannel:
     if len(vs) != d:
         raise ValueError("need as many post- as pre-unitaries")
     for w in (*us, *vs):
-        if w.shape != (m, m) or np.abs(w.conj().T @ w - np.eye(m)).max() > 1e-10:
+        if w.shape != (m, m) or not np.abs(w.conj().T @ w - np.eye(m)).max() <= 1e-10:
             raise ValueError("memory operators must be unitary and equally sized")
     psi = np.zeros((m, d * d), dtype=complex)
     for i in range(d):
@@ -278,7 +275,7 @@ def sample(rng: Rng, d: int) -> DephasingSuperchannel:
 def _nearest_product(c: np.ndarray, d: int) -> tuple[float, float]:
     """(singular-value ratio, Frobenius residual) of the best C_A (x) C_B fit
     obtained from the leading singular pair of the realigned matrix."""
-    r = realign(c, d)
+    r = reshuffle(c, d)
     u, s, vh = np.linalg.svd(r)
     # a 1 x 1 realignment (d = 1) has rank 1, hence ratio 0
     ratio = float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
@@ -324,23 +321,30 @@ def memory_class(sc: DephasingSuperchannel, tol: float = TOL_PSD) -> MemoryClass
 
 def tilde_c(sc: DephasingSuperchannel) -> DephasingChannelC:
     """The d x d correlation matrix governing the action on dephasing
-    channels: tilde(C)_ij = C[(i,i),(j,j)]."""
+    channels: tilde(C)_ij = C[(i,i),(j,j)]. It is a correlation matrix by
+    proof: a principal submatrix of a PSD matrix is PSD, and its diagonal is
+    part of C's unit diagonal."""
     d = sc.dim
     idx = np.arange(d) * (d + 1)
-    return dephasing_c(sc.c[np.ix_(idx, idx)])
+    return DephasingChannelC(dim=d, c=sc.c[np.ix_(idx, idx)])
 
 
 def act_on_dephasing(sc: DephasingSuperchannel, dc: DephasingChannelC) -> DephasingChannelC:
-    """Xi[D_C'] is the dephasing channel with matrix C' o tilde(C)."""
+    """Xi[D_C'] is the dephasing channel with matrix C' o tilde(C), a
+    correlation matrix by proof: PSD by the Schur product theorem, with
+    unit diagonal as the product of two unit diagonals."""
     if sc.dim != dc.dim:
         raise ValueError(f"dim mismatch: superchannel {sc.dim}, channel {dc.dim}")
-    return dephasing_c(schur(dc.c, tilde_c(sc).c))
+    return DephasingChannelC(dim=dc.dim, c=schur(dc.c, tilde_c(sc).c))
 
 
 def pre_post(c1: DephasingChannelC, c2: DephasingChannelC) -> DephasingSuperchannel:
     """Superchannel E -> D_C2 o E o D_C1 (memoryless pre/post dephasing);
-    its correlation matrix is C2 (x) C1."""
+    its correlation matrix is C2 (x) C1. That is a valid superchannel by
+    proof: a Kronecker product of PSD matrices is PSD, its diagonal is the
+    product of two unit diagonals, and every diagonal block
+    C2[i,i] C1 = C1 is the same."""
     if c1.dim != c2.dim:
         raise ValueError(f"dim mismatch: {c1.dim} vs {c2.dim}")
-    return superchannel(kron(c2.c, c1.c), c1.dim)
+    return DephasingSuperchannel(dim=c1.dim, c=kron(c2.c, c1.c))
 

@@ -28,6 +28,23 @@ def test_from_kraus_rejects_non_tp():
         chn.from_kraus([np.diag([1.0, 0.5])])
 
 
+def _with_entry(m, value):
+    m = np.array(m, dtype=complex)
+    m[0, 1] = value
+    return m
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("build", [
+    lambda v: chn.from_kraus([_with_entry(HAD, v)]),
+    lambda v: chn.classical_channel(_with_entry([[0.5, 0.5], [0.5, 0.5]], v).real),
+    lambda v: chn.unitary_channel(_with_entry(HAD, v)),
+], ids=["from_kraus", "classical_channel", "unitary_channel"])
+def test_constructors_reject_non_finite_entry(build, value):
+    with pytest.raises(ValueError):
+        build(value)
+
+
 def test_hadamard_channel_action():
     ch = chn.unitary_channel(HAD)
     out = chn.apply(ch, KET0)

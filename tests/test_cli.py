@@ -11,6 +11,9 @@ from dephaser import superchannels as sup
 from dephaser.sampling import Rng
 
 
+HAD_KRAUS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+
+
 def fixture_path(name):
     return str(resources.files("dephaser").joinpath("fixtures").joinpath(name))
 
@@ -239,6 +242,26 @@ def test_tol_override_unknown_name(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["herm", "eig", "gram"])
+def test_removed_tolerance_names_are_unknown(capsys, name):
+    code, _, err = run_cli(capsys, "sample", f"--tol.{name}", "1e-3")
+    assert code == 2
+    assert "unknown tolerance" in err
+
+
+@pytest.mark.parametrize("command", ["apply", "coherence"])
+def test_non_finite_kraus_entry_exits_3(tmp_path, capsys, command):
+    kraus = np.array(HAD_KRAUS, dtype=complex)
+    kraus[1, 0] = np.nan
+    ch_path = write_channel(tmp_path, {"dim": 2, "kraus": [ser.matrix_to_json(kraus)]})
+    argv = [command, ch_path] if command == "coherence" else [
+        command, write_superchannel(tmp_path, np.ones((4, 4)), 2), ch_path]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "non-finite" in err
+    assert "entry 2 (row 1, col 0)" in err
+
+
 def test_tol_override_bad_value(capsys):
     code, _, _ = run_cli(capsys, "verify", "--tol.psd", "tiny")
     assert code == 2
@@ -266,4 +289,4 @@ def test_config_echoes_tolerances(capsys):
     _, out, _ = run_cli(capsys, "sample", "--n", "1", "--seed", "0", "--tol.psd=1e-8")
     cfg = json.loads(out)["config"]
     assert cfg["tolerances"]["psd"] == 1e-8
-    assert "herm" in cfg["tolerances"]
+    assert "unit" in cfg["tolerances"]

@@ -157,7 +157,7 @@ def test_realign_product_is_rank_one():
     rng = Rng(21)
     a = rand_complex(rng.derive(0), 3)
     b = rand_complex(rng.derive(1), 3)
-    r = linalg.realign(linalg.kron(a, b), 3)
+    r = linalg.reshuffle(linalg.kron(a, b), 3)
     s = np.linalg.svd(r, compute_uv=False)
     assert s[1] < 1e-12 * s[0]
     assert abs(s[0] - np.linalg.norm(a) * np.linalg.norm(b)) < 1e-10

@@ -43,6 +43,15 @@ def test_matrix_from_json_errors():
         ser.matrix_from_json({"rows": 1, "cols": 1, "data": [[1, 0, 0]]})
     with pytest.raises(ValueError):
         ser.matrix_from_json([1, 2, 3])
+    # JSON NaN / Infinity literals and "nan" strings name the first bad entry
+    for bad, where in (([math.nan, 0.0], "entry 1 (row 0, col 1)"),
+                       ([0.0, math.inf], "entry 1 (row 0, col 1)"),
+                       (["nan", 0], "entry 1 (row 0, col 1)"),
+                       (["-inf", 0], "entry 1 (row 0, col 1)")):
+        obj = {"rows": 2, "cols": 2, "data": [[1, 0], bad, [0, 0], [1, 0]]}
+        with pytest.raises(ValueError, match="non-finite") as err:
+            ser.matrix_from_json(json.loads(json.dumps(obj)))
+        assert where in str(err.value)
 
 
 def test_encode_float():

@@ -175,12 +175,13 @@ def test_super_jamiolkowski_diagonal_entries():
 def test_super_jamiolkowski_dual_path():
     rng = Rng(55)
     for trial in range(10):
-        d = 2 + trial % 2
+        d = 2 + trial % 3
         sc = sup.sample(rng.derive(trial), d)
         ch = chn.random_channel(rng.derive(500 + trial), d, 2)
         direct = sup.apply(sc, ch)
         via_sj = sup.apply_via_super_jam(sc, ch)
         assert np.abs(direct.jam - via_sj.jam).max() < 1e-12
+        chn.check_channel(via_sj)
 
 
 def test_realize_all_ones():
@@ -316,11 +317,13 @@ def test_pre_post_limits():
 def test_pre_post_matches_composition():
     rng = Rng(61)
     for trial in range(10):
-        d = 2 + trial % 2
+        d = 2 + trial % 3
         c1 = chn.random_dephasing(rng.derive(trial), d)
         c2 = chn.random_dephasing(rng.derive(100 + trial), d)
         ch = chn.random_channel(rng.derive(500 + trial), d, 2)
-        lhs = sup.apply(sup.pre_post(c1, c2), ch)
+        sc = sup.pre_post(c1, c2)
+        sup.superchannel(sc.c, d)
+        lhs = sup.apply(sc, ch)
         rhs = chn.compose(chn.dephasing_channel(c2), chn.compose(ch, chn.dephasing_channel(c1)))
         assert np.abs(lhs.jam - rhs.jam).max() < 1e-12
 
@@ -361,10 +364,11 @@ def test_act_on_dephasing_fixed_point():
 def test_act_on_dephasing_dual_path_and_contraction():
     rng = Rng(65)
     for trial in range(10):
-        d = 2 + trial % 2
+        d = 2 + trial % 3
         sc = sup.sample(rng.derive(trial), d)
         dc = chn.random_dephasing(rng.derive(100 + trial), d)
         out = sup.act_on_dephasing(sc, dc)
+        chn.dephasing_c(out.c)
         lhs = sup.apply(sc, chn.dephasing_channel(dc))
         rhs = chn.dephasing_channel(out)
         assert np.abs(lhs.jam - rhs.jam).max() < 1e-12
