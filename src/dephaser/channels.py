@@ -117,8 +117,9 @@ def from_kraus(ks: Sequence[np.ndarray], tol: float = TOL_PSD) -> Channel:
     d = ks[0].shape[0]
     if any(k.shape != (d, d) for k in ks):
         raise ValueError("Kraus operators must all be d x d")
-    comp = sum(k.conj().T @ k for k in ks)
-    dev = np.abs(comp - np.eye(d)).max()
+    a = np.concatenate(ks)  # a^dag a = sum_k K_k^dag K_k
+    # checked before the product, which would warn on inf entries
+    dev = np.abs(a.conj().T @ a - np.eye(d)).max() if np.isfinite(a).all() else np.nan
     if not dev <= tol:  # also rejects NaN
         raise ValueError(f"Kraus completeness violated by {dev:.3e}")
     return Channel(dim=d, jam=_jam_from_kraus(ks, d), kraus=tuple(ks))
@@ -222,7 +223,7 @@ def identity_channel(d: int) -> Channel:
 def unitary_channel(u: np.ndarray, tol: float = TOL_UNIT) -> Channel:
     """The channel rho -> U rho U^dag."""
     u = np.asarray(u, dtype=complex)
-    if not np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= tol:
+    if not (np.isfinite(u).all() and np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= tol):
         raise ValueError("matrix is not unitary")
     return from_kraus([u])
 

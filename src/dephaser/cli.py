@@ -225,8 +225,9 @@ def _cmd_classify(args, tol: dict, seed: int):
             "product_residual": mc.product_residual,
         },
         "tilde_c": ser.matrix_to_json(ssc.tilde_c(out).c),
-        "note": "for dim 2, PPT implies the memory state pattern is separable",
     }
+    if d == 2:  # the PPT criterion is sufficient for separability only at 2 x 2
+        results["note"] = "for dim 2, PPT implies the memory state pattern is separable"
     return results, {"valid": True}, EXIT_OK
 
 

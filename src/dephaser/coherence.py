@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL_PSD, kron
+from .linalg import TOL_PSD
 from .channels import (
     Channel,
     _apply as _channel_apply,
@@ -163,6 +163,33 @@ def _np_test_optimum(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     return vs + x * vb
 
 
+class _Lifted:
+    """E_m (x) I for channels E_1..E_M of one dim d, system first in the
+    row-major vec (identities in discrimination_seesaw). forward(psi) stacks
+    the M outputs on |psi><psi|; dual(bs) = sum_m (E_m (x) I)^dag(bs[m]) is
+    one matmul of the stacked W_m^T, W_m = sum_k conj(K_k) (x) K_k, on bs
+    regrouped [a,i,b,j] -> [(a,b),(i,j)]. Kraus lists are zero-padded to one
+    rank, which adds only zero terms."""
+
+    def __init__(self, chs):
+        kss = [to_kraus(ch) for ch in chs]
+        d, r = chs[0].dim, max(map(len, kss))
+        self.ks = np.array([ks + [np.zeros((d, d))] * (r - len(ks)) for ks in kss], dtype=complex)
+        w = np.einsum("mkaA,mkbB->ABmab", self.ks.conj(), self.ks)
+        self.dual_matrix = w.reshape(d * d, -1)
+
+    def forward(self, psi: np.ndarray) -> np.ndarray:
+        m, r, d, _ = self.ks.shape
+        a = (self.ks @ psi.reshape(d, d)).reshape(m, r, d * d)
+        return a.transpose(0, 2, 1) @ a.conj()
+
+    def dual(self, bs: np.ndarray) -> np.ndarray:
+        d = self.ks.shape[-1]
+        bp = bs.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d)
+        g = (self.dual_matrix @ bp).reshape(d, d, d, d)
+        return g.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
                                 restarts: int = 8, rng: Rng | None = None) -> float:
     """Lower bound on the channel divergence sup_rho D_H^eps((E1 (x) I)rho ||
@@ -177,23 +204,14 @@ def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
     if e1.dim != e2.dim:
         raise ValueError("channels must have equal dims")
     _check_eps(eps)
-    if rng is None:
-        rng = Rng(0)
+    rng = Rng(0) if rng is None else rng
     d = e1.dim
-    lifted1 = [kron(k, np.eye(d)) for k in to_kraus(e1)]
-    lifted2 = [kron(k, np.eye(d)) for k in to_kraus(e2)]
+    lifted = _Lifted([e1, e2])
     phi = (np.eye(d).reshape(-1) / np.sqrt(d)).astype(complex)
-    candidates = [phi]
-    for i in range(1, restarts + 1):
-        candidates.append(haar_vector(rng.derive(i), d * d))
+    candidates = [phi] + [haar_vector(rng.derive(i), d * d) for i in range(1, restarts + 1)]
     best = 0.0
     for psi in candidates:
-        rho_in = np.outer(psi, psi.conj())
-        out1 = sum(k @ rho_in @ k.conj().T for k in lifted1)
-        out2 = sum(k @ rho_in @ k.conj().T for k in lifted2)
-        val = _dh(out1, out2, eps)
-        if val > best:
-            best = val
+        best = max(best, _dh(*lifted.forward(psi), eps))
         if math.isinf(best):
             break
     return best
@@ -458,23 +476,22 @@ class DiscriminationInstance:
     iteration_log: tuple[dict, ...]
 
 
-def _povm_candidate(taus: list[np.ndarray], m: int, n: int) -> list[np.ndarray]:
+def _povm_candidate(taus: np.ndarray, m: int, n: int) -> np.ndarray:
     if m == 2:
         w, v = np.linalg.eigh(taus[0] - taus[1])
         pos = v[:, w > 0]
         b1 = pos @ pos.conj().T if pos.size else np.zeros((n, n), dtype=complex)
-        return [b1, np.eye(n) - b1]
-    s = sum(taus) / m
-    w, v = np.linalg.eigh(s)
+        return np.stack([b1, np.eye(n) - b1])
+    w, v = np.linalg.eigh(taus.sum(axis=0) / m)
     winv = np.where(w > 1e-12, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
     si = (v * winv) @ v.conj().T
     supp = v[:, w > 1e-12]
     pker = np.eye(n) - supp @ supp.conj().T
-    return [si @ (tau / m) @ si + pker / m for tau in taus]
+    return si @ (taus / m) @ si + pker / m
 
 
-def _strategy_value(povm, taus, m: int) -> float:
-    return float(sum(np.real(np.trace(b @ t)) for b, t in zip(povm, taus))) / m
+def _strategy_value(povm: np.ndarray, taus: np.ndarray, m: int) -> float:
+    return float(np.einsum("mij,mji->", povm, taus).real) / m
 
 
 def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
@@ -487,70 +504,53 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     larger M, accepted only when it improves; the input step takes the top
     eigenvector of the effective observable. Every reported value is the
     evaluated success probability of an explicit strategy.
+
+    The outputs E_m = Xi_m[gate] act as E_m (x) I (_Lifted) by two identities:
+    (E (x) I)(|psi><psi|) = sum_k vec(K_k Psi) vec(K_k Psi)^dag for psi = vec(Psi),
+    and the dual sum_k (K_k (x) I)^dag B (K_k (x) I) acts on B's system indices
+    alone, through the d^2 x d^2 matrix sum_k conj(K_k) (x) K_k.
     """
     scs = tuple(scs)
     m = len(scs)
     if m < 2:
         raise ValueError("need at least two superchannels")
-    if rng is None:
-        rng = Rng(0)
+    rng = Rng(0) if rng is None else rng
     d = gate.dim
     if any(sc.dim != d for sc in scs):
         raise ValueError("all superchannels must match the gate dim")
     n = d * d
-    ksets = []
-    for sc in scs:
-        out = super_apply(sc, gate)
-        ksets.append([kron(k, np.eye(d)) for k in to_kraus(out)])
+    lifted = _Lifted([super_apply(sc, gate) for sc in scs])
     phi = (np.eye(d).reshape(-1) / np.sqrt(d)).astype(complex)
-
-    def outputs(psi: np.ndarray) -> list[np.ndarray]:
-        rho = np.outer(psi, psi.conj())
-        return [sum(k @ rho @ k.conj().T for k in ks) for ks in ksets]
-
-    uniform = [np.eye(n, dtype=complex) / m for _ in range(m)]
+    uniform = np.stack([np.eye(n, dtype=complex) / m] * m)
     best_psi, best_povm = phi, uniform
-    best_val = _strategy_value(uniform, outputs(phi), m)
+    best_val = _strategy_value(uniform, lifted.forward(phi), m)
     logs: list[dict] = []
     for rs in range(restarts):
         psi = phi.copy() if rs == 0 else haar_vector(rng.derive(rs), n)
-        povm = [b.copy() for b in uniform]
-        taus = outputs(psi)
-        cur = _strategy_value(povm, taus, m)
-        cur_psi, cur_povm = psi, povm
+        povm = cur_povm = uniform
+        taus = lifted.forward(psi)
+        cur, cur_psi = _strategy_value(povm, taus, m), psi
         logs.append({"restart": rs, "iter": 0, "objective": cur})
         for it in range(1, iters + 1):
             cand = _povm_candidate(taus, m, n)
             cand_val = _strategy_value(cand, taus, m)
             if cand_val > cur:
-                povm = cand
-                cur = cand_val
-                cur_povm = povm
-                cur_psi = psi
-            g = sum(
-                sum(k.conj().T @ b @ k for k in ks) for b, ks in zip(povm, ksets)
-            ) / m
-            w, v = np.linalg.eigh(g)
+                povm = cur_povm = cand
+                cur, cur_psi = cand_val, psi
+            w, v = np.linalg.eigh(lifted.dual(povm) / m)
             if w[-1] > cur + 1e-15:
                 psi = v[:, -1]
-                taus = outputs(psi)
+                taus = lifted.forward(psi)
                 cur = _strategy_value(povm, taus, m)
                 cur_psi = psi
             logs.append({"restart": rs, "iter": it, "objective": cur})
             if it > 2 and logs[-1]["objective"] - logs[-3]["objective"] < 1e-13:
                 break
         if cur > best_val:
-            best_val = cur
-            best_psi, best_povm = cur_psi, cur_povm
-    p = _strategy_value(best_povm, outputs(best_psi), m)
-    return DiscriminationInstance(
-        gate=gate,
-        superchannels=scs,
-        input_state=np.outer(best_psi, best_psi.conj()),
-        povm=tuple(best_povm),
-        p_succ=p,
-        iteration_log=tuple(logs),
-    )
+            best_val, best_psi, best_povm = cur, cur_psi, cur_povm
+    p = _strategy_value(best_povm, lifted.forward(best_psi), m)
+    return DiscriminationInstance(gate, scs, np.outer(best_psi, best_psi.conj()),
+                                  tuple(best_povm), p, tuple(logs))
 
 
 def robustness_bound_check(inst: DiscriminationInstance, cert: RobustnessCertificate,

@@ -29,20 +29,38 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def _json_int(obj: dict, field: str, what: str) -> int:
+    """The positive integer field of a JSON object. A float counts only when
+    it is integral (2.0, not 2.5), so nothing is truncated; a bool, string,
+    list or object is rejected with a ValueError naming the field."""
+    value = obj[field]
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < 1:
+        raise ValueError(f"{what} field {field!r} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+        rows, cols = _json_int(obj, "rows", "matrix"), _json_int(obj, "cols", "matrix")
+        data = obj["data"]
+    except KeyError as exc:
         raise ValueError(f"matrix JSON missing field: {exc}") from exc
-    if rows <= 0 or cols <= 0 or len(data) != rows * cols:
+    if not isinstance(data, list):
+        raise ValueError(f"matrix JSON field 'data' must be a list, got {data!r}")
+    if len(data) != rows * cols:
         raise ValueError(f"matrix JSON has {len(data)} entries, expected {rows}x{cols}")
     flat = np.empty(rows * cols, dtype=complex)
     for pos, entry in enumerate(data):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ValueError(f"matrix entry {pos} is not a [re, im] pair")
-        flat[pos] = complex(float(entry[0]), float(entry[1]))
+        try:
+            flat[pos] = complex(float(entry[0]), float(entry[1]))
+        except (TypeError, ValueError):
+            raise ValueError(f"matrix entry {pos} (row {pos // cols}, col {pos % cols}) "
+                             f"is not a pair of numbers: {entry!r}") from None
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         pos = int(bad[0])
@@ -67,10 +85,10 @@ def channel_to_json(ch: Channel) -> dict:
 def channel_from_json(obj, tol: float = 1e-9) -> Channel:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("channel JSON must be an object with a dim field")
-    d = int(obj["dim"])
-    if d < 1:
-        raise ValueError(f"channel dim must be positive, got {d}")
+    d = _json_int(obj, "dim", "channel")
     if "kraus" in obj:
+        if not isinstance(obj["kraus"], list):
+            raise ValueError(f"channel JSON field 'kraus' must be a list, got {obj['kraus']!r}")
         ks = [matrix_from_json(k) for k in obj["kraus"]]
         if any(k.shape != (d, d) for k in ks):
             raise ValueError("kraus operator shape does not match dim")
@@ -92,7 +110,7 @@ def correlation_from_json(obj) -> tuple[np.ndarray, int]:
     against d, but leaves the superchannel conditions to the caller."""
     if not isinstance(obj, dict) or "dim" not in obj or "correlation" not in obj:
         raise ValueError("superchannel JSON needs dim and correlation fields")
-    d = int(obj["dim"])
+    d = _json_int(obj, "dim", "superchannel")
     c = matrix_from_json(obj["correlation"])
     if c.shape != (d * d, d * d):
         raise ValueError(f"correlation shape {c.shape} does not match dim {d}")
@@ -111,7 +129,7 @@ def dephasing_to_json(dc: DephasingChannelC) -> dict:
 def dephasing_from_json(obj, tol: float = 1e-9) -> DephasingChannelC:
     if not isinstance(obj, dict) or "dim" not in obj or "correlation" not in obj:
         raise ValueError("dephasing-channel JSON needs dim and correlation fields")
-    d = int(obj["dim"])
+    d = _json_int(obj, "dim", "dephasing-channel")
     c = matrix_from_json(obj["correlation"])
     if c.shape != (d, d):
         raise ValueError(f"correlation shape {c.shape} does not match dim {d}")
@@ -126,8 +144,9 @@ def realization_to_json(real: SuperRealization) -> dict:
 
 
 def realization_from_json(obj) -> SuperRealization:
-    if not isinstance(obj, dict) or "us" not in obj or "vs" not in obj:
-        raise ValueError("realization JSON needs us and vs fields")
+    if not (isinstance(obj, dict) and isinstance(obj.get("us"), list)
+            and isinstance(obj.get("vs"), list)):
+        raise ValueError("realization JSON needs us and vs fields, each a list of matrices")
     us = tuple(matrix_from_json(u) for u in obj["us"])
     vs = tuple(matrix_from_json(v) for v in obj["vs"])
     if len(us) != len(vs) or not us:

@@ -103,6 +103,20 @@ def test_classify_sampled_dim_one(tmp_path, capsys):
     assert parse_report(out)["results"]["memory_class"]["label"] == "PRODUCT"
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_classify_separability_note_only_at_dim_two(tmp_path, capsys, d):
+    # Rng(1) at d = 3 samples a PPT memory, where PPT does not imply separable
+    sc = sup.sample(Rng(1), d)
+    code, out, _ = run_cli(capsys, "classify", write_superchannel(tmp_path, sc.c, d))
+    assert code == 0
+    results = parse_report(out)["results"]
+    if d == 2:
+        assert "PPT implies" in results["note"]
+    else:
+        assert results["memory_class"]["label"] == "PPT"
+        assert "note" not in results
+
+
 def test_classify_invalid_reports_witness(tmp_path, capsys):
     c = np.ones((4, 4))
     c[1, 1] = 0.5
@@ -260,6 +274,41 @@ def test_non_finite_kraus_entry_exits_3(tmp_path, capsys, command):
     assert code == 3
     assert "non-finite" in err
     assert "entry 2 (row 1, col 0)" in err
+
+
+SC_OBJ = {"dim": 2, "correlation": ser.matrix_to_json(np.ones((4, 4)))}
+CH_OBJ = {"dim": 2, "kraus": [ser.matrix_to_json(HAD_KRAUS)]}
+
+
+def _bad_entry(m):
+    m = ser.matrix_to_json(m)
+    m["data"][1] = [{"a": 1}, 0]
+    return m
+
+
+@pytest.mark.parametrize("command,obj,message", [
+    ("classify", {**SC_OBJ, "correlation": _bad_entry(np.ones((4, 4)))},
+     "matrix entry 1 (row 0, col 1) is not a pair of numbers"),
+    ("classify", {**SC_OBJ, "dim": [2]}, "'dim' must be a positive integer, got [2]"),
+    ("classify", {**SC_OBJ, "dim": 2.5}, "'dim' must be a positive integer, got 2.5"),
+    ("classify", {**SC_OBJ, "dim": -2}, "'dim' must be a positive integer, got -2"),
+    ("coherence", {**CH_OBJ, "kraus": [_bad_entry(HAD_KRAUS)]},
+     "matrix entry 1 (row 0, col 1) is not a pair of numbers"),
+    ("coherence", {**CH_OBJ, "dim": [2]}, "'dim' must be a positive integer, got [2]"),
+    ("coherence", {**CH_OBJ, "dim": 2.5}, "'dim' must be a positive integer, got 2.5"),
+    ("coherence", {**CH_OBJ, "kraus": 5}, "'kraus' must be a list"),
+    ("coherence", {**CH_OBJ, "kraus": [{"rows": 2, "cols": "2", "data": []}]},
+     "'cols' must be a positive integer"),
+    ("coherence", {**CH_OBJ, "kraus": [{"rows": 2, "cols": 2, "data": 4}]}, "'data' must be a list"),
+], ids=["entry-object", "dim-list", "dim-fraction", "dim-negative", "kraus-entry-object",
+        "channel-dim-list", "channel-dim-fraction", "kraus-not-list", "cols-string", "data-not-list"])
+def test_malformed_json_fields_exit_3(tmp_path, capsys, command, obj, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 3
+    assert out == ""
+    assert message in err
 
 
 def test_tol_override_bad_value(capsys):

@@ -7,6 +7,7 @@ import pytest
 from dephaser import channels as chn
 from dephaser import coherence as coh
 from dephaser import superchannels as sup
+from dephaser.linalg import kron
 from dephaser.sampling import Rng, haar_vector, random_state
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -311,3 +312,48 @@ def test_monotonicity_suite_rel_ent():
     report = coh.monotonicity_suite(Rng(86), 20, 3, measure=coh.REL_ENT)
     assert report["violations"] == 0
     assert report["ok"]
+
+
+def _kron_lifted(ch):
+    """Reference lifting: the Kraus operators K (x) I of E (x) I."""
+    return [kron(k, np.eye(ch.dim)) for k in chn.to_kraus(ch)]
+
+
+@pytest.mark.parametrize("d,rank", sorted({(d, r) for d in (1, 2, 3, 4) for r in (1, d * d)}))
+def test_lifted_kernel_matches_kron_reference(d, rank):
+    rng = Rng(300 + 10 * d + rank)
+    # the second channel's rank differs, so one Kraus list gets zero-padded
+    chs = [chn.random_channel(rng.derive(1), d, rank),
+           chn.random_channel(rng.derive(2), d, d * d + 1 - rank)]
+    lifted = coh._Lifted(chs)
+    psi = haar_vector(rng.derive(3), d * d)
+    rho = np.outer(psi, psi.conj())
+    g = rng.derive(4).complex_normal((2, d * d, d * d))
+    bs = g + g.conj().transpose(0, 2, 1)
+    outs = lifted.forward(psi)
+    for out, ch in zip(outs, chs):
+        ref = sum(k @ rho @ k.conj().T for k in _kron_lifted(ch))
+        assert np.abs(out - ref).max() <= 1e-12
+    ref_dual = sum(sum(k.conj().T @ b @ k for k in _kron_lifted(ch)) for b, ch in zip(bs, chs))
+    assert np.abs(lifted.dual(bs) - ref_dual).max() <= 1e-12
+    # dual adjointness channel by channel: Tr(B Phi(rho)) = Tr(Phi^dag(B) rho)
+    for b, ch in zip(bs, chs):
+        one = coh._Lifted([ch])
+        lhs = np.trace(b @ one.forward(psi)[0])
+        rhs = np.trace(one.dual(b) @ rho)
+        assert abs(lhs - rhs) <= 1e-12
+
+
+# p_succ of the seesaw when it applied the lifted channels as sums over
+# kron(K, I) terms; the lifted-channel kernel must reproduce them
+@pytest.mark.parametrize("d,p_succ", [
+    (2, 0.638938177323186),
+    (3, 0.7121462569200236),
+    (4, 0.6929525980179521),
+])
+def test_seesaw_pinned_success_probability(d, p_succ):
+    rng = Rng(40 + d)
+    gate = chn.random_channel(rng.derive(1), d, 2)
+    scs = [sup.sample(rng.derive(10 + i), d) for i in range(2)]
+    inst = coh.discrimination_seesaw(gate, scs, restarts=4, rng=rng.derive(2))
+    assert abs(inst.p_succ - p_succ) <= 1e-9

@@ -111,6 +111,12 @@ def test_realization_roundtrip():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("obj", [{"us": 5, "vs": 5}, {"us": [], "vs": {}}, {"vs": []}, [1]])
+def test_realization_from_json_rejects_non_list_fields(obj):
+    with pytest.raises(ValueError, match="list of matrices"):
+        ser.realization_from_json(obj)
+
+
 def test_certificate_json():
     cert = coh.robustness(chn.unitary_channel(np.array([[1, 1], [1, -1]]) / np.sqrt(2)))
     obj = ser.certificate_to_json(cert)
