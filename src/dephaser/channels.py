@@ -18,13 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    TOL_HERM,
     TOL_PSD,
     TOL_UNIT,
     assert_hermitian,
     complete_isometry,
     gram_vectors,
-    herm_eig,
     kron,
     partial_trace,
     reshuffle,
@@ -36,11 +34,10 @@ KRAUS_PRUNE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Channel:
-    """A CPTP map: dimension, Jamiolkowski matrix, optional cached Kraus ops."""
+    """A CPTP map: dimension and Jamiolkowski matrix, its only stored form."""
 
     dim: int
     jam: np.ndarray
-    kraus: tuple[np.ndarray, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -51,32 +48,34 @@ class DephasingChannelC:
     c: np.ndarray
 
 
-def assert_correlation(c: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
-    """Check Hermitian + PSD + unit diagonal and return the complex array."""
-    c = assert_hermitian(c, TOL_HERM)
+def assert_correlation(c: np.ndarray) -> np.ndarray:
+    """Check Hermitian + PSD + unit diagonal within TOL_PSD and return the
+    complex array."""
+    c = assert_hermitian(c)
     diag_dev = np.abs(np.diag(c) - 1.0).max()
-    if diag_dev > tol:
+    if diag_dev > TOL_PSD:
         raise ValueError(f"diagonal entries deviate from 1 by {diag_dev:.3e}")
     w, _ = np.linalg.eigh(c)  # checked Hermitian above
-    if w.min() < -tol:
+    if w.min() < -TOL_PSD:
         raise ValueError(f"not PSD: min eigenvalue {w.min():.3e}")
     return c
 
 
-def dephasing_c(c: np.ndarray, tol: float = TOL_PSD) -> DephasingChannelC:
+def dephasing_c(c: np.ndarray) -> DephasingChannelC:
     """Validated correlation matrix wrapper for a dephasing channel."""
-    c = assert_correlation(c, tol)
+    c = assert_correlation(c)
     return DephasingChannelC(dim=c.shape[0], c=c)
 
 
-def assert_state(rho: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
-    """Check that rho is a density matrix (Hermitian, PSD, unit trace)."""
-    rho = assert_hermitian(rho, TOL_HERM)
+def assert_state(rho: np.ndarray) -> np.ndarray:
+    """Check that rho is a density matrix (Hermitian, PSD, unit trace) within
+    TOL_PSD."""
+    rho = assert_hermitian(rho)
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > TOL_PSD:
         raise ValueError(f"trace is {tr}, not 1")
     w, _ = np.linalg.eigh(rho)  # checked Hermitian above
-    if w.min() < -tol:
+    if w.min() < -TOL_PSD:
         raise ValueError(f"state not PSD: min eigenvalue {w.min():.3e}")
     return rho
 
@@ -84,7 +83,7 @@ def assert_state(rho: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
 def check_channel(ch: Channel, tol: float = TOL_PSD) -> None:
     """Raise unless ch satisfies the Channel invariants within tol."""
     d = ch.dim
-    jam = assert_hermitian(ch.jam, TOL_HERM)
+    jam = assert_hermitian(ch.jam)
     if jam.shape != (d * d, d * d):
         raise ValueError(f"jam shape {jam.shape} does not match dim {d}")
     w, _ = np.linalg.eigh(jam)  # checked Hermitian above
@@ -93,12 +92,6 @@ def check_channel(ch: Channel, tol: float = TOL_PSD) -> None:
     tp_dev = np.abs(partial_trace(jam, (d, d), 1) - np.eye(d) / d).max()
     if tp_dev > tol:
         raise ValueError(f"not trace preserving: deviation {tp_dev:.3e}")
-    if ch.kraus is not None:
-        comp = sum(k.conj().T @ k for k in ch.kraus)
-        if np.abs(comp - np.eye(d)).max() > tol:
-            raise ValueError("Kraus completeness violated")
-        if np.abs(_jam_from_kraus(ch.kraus, d) - jam).max() > tol:
-            raise ValueError("cached Kraus operators do not rebuild jam")
 
 
 def _jam_from_kraus(ks: Sequence[np.ndarray], d: int) -> np.ndarray:
@@ -122,7 +115,7 @@ def from_kraus(ks: Sequence[np.ndarray], tol: float = TOL_PSD) -> Channel:
     dev = np.abs(a.conj().T @ a - np.eye(d)).max() if np.isfinite(a).all() else np.nan
     if not dev <= tol:  # also rejects NaN
         raise ValueError(f"Kraus completeness violated by {dev:.3e}")
-    return Channel(dim=d, jam=_jam_from_kraus(ks, d), kraus=tuple(ks))
+    return Channel(dim=d, jam=_jam_from_kraus(ks, d))
 
 
 def from_jam(jam: np.ndarray, tol: float = TOL_PSD) -> Channel:
@@ -134,44 +127,42 @@ def from_jam(jam: np.ndarray, tol: float = TOL_PSD) -> Channel:
     return ch
 
 
-def to_kraus(ch: Channel, prune_tol: float = KRAUS_PRUNE_TOL) -> list[np.ndarray]:
+def to_kraus(ch: Channel) -> list[np.ndarray]:
     """Kraus operators from the eigendecomposition of d * jam.
 
-    Operators with eigenvalue below prune_tol are dropped; the list length
-    is the numerical rank. The set is unique only up to the usual isometric
-    freedom, so only the rebuilt channel should be compared.
+    Operators with eigenvalue at or below KRAUS_PRUNE_TOL are dropped; the
+    list length is the numerical rank. The set is unique only up to the
+    usual isometric freedom, so only the rebuilt channel should be compared.
+    The jam of a Channel is Hermitian by construction, so it is not
+    re-checked before the eigensolve.
     """
-    if ch.kraus is not None:
-        return [k.copy() for k in ch.kraus]
     d = ch.dim
-    w, v = herm_eig(ch.dim * ch.jam)
+    w, v = np.linalg.eigh(d * ch.jam)
     if w.min() < -d * TOL_PSD:
         raise ValueError(f"channel is not CP: eigenvalue {w.min():.3e}")
     ks = []
     for lam, vec in zip(w, v.T):
-        if lam > prune_tol:
+        if lam > KRAUS_PRUNE_TOL:
             ks.append(np.sqrt(lam) * vec.reshape(d, d))
     return ks
 
 
-def apply(ch: Channel, rho: np.ndarray, via: str = "auto", tol: float = TOL_PSD) -> np.ndarray:
+def apply(ch: Channel, rho: np.ndarray, via: str = "jam") -> np.ndarray:
     """Apply the channel to a density matrix.
 
-    via = "kraus" forces the Kraus sum, "jam" the contraction
-    d * Tr_2[jam (1 (x) rho^T)]; "auto" uses cached Kraus when present.
+    via = "jam" is the contraction d * Tr_2[jam (1 (x) rho^T)]; "kraus" is
+    the Kraus sum over to_kraus(ch), kept as an independent second path.
     """
-    rho = assert_state(rho, tol)
+    rho = assert_state(rho)
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"state dim {rho.shape[0]} does not match channel dim {ch.dim}")
     return _apply(ch, rho, via)
 
 
-def _apply(ch: Channel, rho: np.ndarray, via: str = "auto") -> np.ndarray:
+def _apply(ch: Channel, rho: np.ndarray, via: str = "jam") -> np.ndarray:
     """apply() without its argument checks, for callers whose rho is a
     complex density matrix of the channel's dimension by construction."""
     d = ch.dim
-    if via == "auto":
-        via = "kraus" if ch.kraus is not None else "jam"
     if via == "kraus":
         ks = to_kraus(ch)
         out = np.zeros((d, d), dtype=complex)
@@ -212,7 +203,7 @@ def stinespring(ch: Channel, complete: bool = False) -> np.ndarray:
     if not complete:
         return w
     eye = np.eye(d * r, dtype=complex)
-    return complete_isometry([(eye[j * r], w[:, j]) for j in range(d)], dim=d * r)
+    return complete_isometry([(eye[j * r], w[:, j]) for j in range(d)])
 
 
 def identity_channel(d: int) -> Channel:
@@ -220,10 +211,10 @@ def identity_channel(d: int) -> Channel:
     return from_kraus([np.eye(d, dtype=complex)])
 
 
-def unitary_channel(u: np.ndarray, tol: float = TOL_UNIT) -> Channel:
-    """The channel rho -> U rho U^dag."""
+def unitary_channel(u: np.ndarray) -> Channel:
+    """The channel rho -> U rho U^dag; U must be unitary within TOL_UNIT."""
     u = np.asarray(u, dtype=complex)
-    if not (np.isfinite(u).all() and np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= tol):
+    if not (np.isfinite(u).all() and np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= TOL_UNIT):
         raise ValueError("matrix is not unitary")
     return from_kraus([u])
 
@@ -239,14 +230,15 @@ def dephasing_channel(dc: DephasingChannelC) -> Channel:
     jam = np.zeros((d * d, d * d), dtype=complex)
     idx = np.arange(d) * (d + 1)
     jam[np.ix_(idx, idx)] = dc.c / d
-    return Channel(dim=d, jam=jam, kraus=tuple(dephasing_kraus(dc)))
+    return Channel(dim=d, jam=jam)
 
 
-def dephasing_kraus(dc: DephasingChannelC, prune_tol: float = KRAUS_PRUNE_TOL) -> list[np.ndarray]:
+def dephasing_kraus(dc: DephasingChannelC) -> list[np.ndarray]:
     """Diagonal Kraus operators K_k = diag over i of the k-th component of the
-    Gram vectors of C; operators with negligible norm are pruned."""
+    Gram vectors of C; operators with no entry above KRAUS_PRUNE_TOL are
+    pruned."""
     psi = gram_vectors(dc.c)  # row i is the vector realizing C_ij = <psi_j|psi_i>
-    return [np.diag(col) for col in psi.T if np.abs(col).max() > prune_tol]
+    return [np.diag(col) for col in psi.T if np.abs(col).max() > KRAUS_PRUNE_TOL]
 
 
 def complementary_dephasing(dc: DephasingChannelC) -> Channel:
@@ -255,25 +247,26 @@ def complementary_dephasing(dc: DephasingChannelC) -> Channel:
     return from_kraus([np.outer(p, e) for p, e in zip(psi, np.eye(dc.dim, dtype=complex))])
 
 
-def assert_stochastic(t: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
-    """Check a column-stochastic matrix: entries >= 0, columns summing to 1."""
+def assert_stochastic(t: np.ndarray) -> np.ndarray:
+    """Check a column-stochastic matrix: entries >= 0, columns summing to 1,
+    within TOL_PSD."""
     t = np.asarray(t)
     if not np.isfinite(t).all():
         raise ValueError("transition matrix has non-finite entries")
-    if np.abs(np.asarray(t, dtype=complex).imag).max() > tol:
+    if np.abs(np.asarray(t, dtype=complex).imag).max() > TOL_PSD:
         raise ValueError("transition matrix must be real")
     t = np.real(np.asarray(t, dtype=complex))
-    if t.min() < -tol:
+    if t.min() < -TOL_PSD:
         raise ValueError(f"negative transition probability {t.min():.3e}")
     col_dev = np.abs(t.sum(axis=0) - 1.0).max()
-    if col_dev > tol:
+    if col_dev > TOL_PSD:
         raise ValueError(f"columns do not sum to 1 (deviation {col_dev:.3e})")
     return t
 
 
-def classical_channel(t: np.ndarray, tol: float = TOL_PSD) -> Channel:
+def classical_channel(t: np.ndarray) -> Channel:
     """Channel sum_ij T_ij <j|.|j> |i><i| with column-stochastic T; diagonal jam."""
-    t = assert_stochastic(t, tol)
+    t = assert_stochastic(t)
     d = t.shape[0]
     jam = np.diag(t.reshape(-1).astype(complex) / d)
     return Channel(dim=d, jam=jam)

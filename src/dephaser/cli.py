@@ -6,8 +6,9 @@ version, the fully resolved config (seed, tolerance table, flags), the
 command results, and the wall time; --out additionally writes just the
 results payload, which is byte-deterministic for a fixed config.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or JSON parse error,
-3 semantic input error (invalid matrices, dim mismatch), 4 solver failure.
+Exit codes: 0 success, 1 verification failure, 2 usage, file I/O or JSON
+parse error, 3 semantic input error (invalid matrices, dim mismatch), 4
+solver failure.
 """
 
 from __future__ import annotations
@@ -380,10 +381,15 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         results, checks, code = _HANDLERS[args.command](args, tol, seed)
-    except json.JSONDecodeError as exc:
+        results = _sanitize(results)
+        wall = time.perf_counter() - start
+        if args.out:  # written before the report, so a failed write prints no report
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(ser.dumps(results))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable input or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ssc.InvalidCorrelationError as exc:
@@ -409,20 +415,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
 
-    results = _sanitize(results)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "config": _config_echo(args, tol, seed),
         "results": results,
-        "wall_time_s": time.perf_counter() - start,
+        "wall_time_s": wall,
     }
     if checks is not None:
         report["checks"] = _sanitize(checks)
     print(ser.dumps(report), end="")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(ser.dumps(results))
     return code
 
 

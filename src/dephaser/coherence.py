@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL_PSD
 from .channels import (
     Channel,
     _apply as _channel_apply,
@@ -32,6 +31,8 @@ MEASURES = (L1, REL_ENT)
 
 DH_VALUE_FLOOR = 1e-12  # optimum below this reports +inf
 FEAS_TOL = 1e-8
+MAX_NEWTON = 60  # Newton steps per barrier round before SolverError
+SEESAW_ITERS = 40  # alternating steps per seesaw restart
 
 
 class SolverError(RuntimeError):
@@ -43,13 +44,13 @@ def _entropy_bits(w: np.ndarray) -> float:
     return float(-(w * np.log2(w)).sum()) if w.size else 0.0
 
 
-def state_coherence(rho: np.ndarray, measure: str = L1, tol: float = TOL_PSD) -> float:
+def state_coherence(rho: np.ndarray, measure: str = L1) -> float:
     """Coherence of a state in the computational basis.
 
     L1: sum of absolute values of off-diagonal entries. REL_ENT: entropy of
     the dephased state minus entropy of the state, in bits.
     """
-    return _state_coherence(assert_state(rho, tol), measure)
+    return _state_coherence(assert_state(rho), measure)
 
 
 def _state_coherence(rho: np.ndarray, measure: str) -> float:
@@ -78,8 +79,7 @@ def cohering_power(ch: Channel, measure: str = L1) -> float:
     return best
 
 
-def hypothesis_test_divergence(rho: np.ndarray, sigma: np.ndarray, eps: float = 0.0,
-                               tol: float = TOL_PSD) -> float:
+def hypothesis_test_divergence(rho: np.ndarray, sigma: np.ndarray, eps: float = 0.0) -> float:
     """D_H^eps(rho||sigma) = -log2 min{Tr(Q sigma) : 0<=Q<=1, Tr(Q rho)>=1-eps}.
 
     Solved by the operator Neyman-Pearson construction: the optimal Q is the
@@ -88,8 +88,8 @@ def hypothesis_test_divergence(rho: np.ndarray, sigma: np.ndarray, eps: float = 
     constraint exactly; t is found by bisection. Returns math.inf when the
     optimal error is zero (up to 1e-12), e.g. for orthogonal supports.
     """
-    rho = assert_state(rho, tol)
-    sigma = assert_state(sigma, tol)
+    rho = assert_state(rho)
+    sigma = assert_state(sigma)
     if rho.shape != sigma.shape:
         raise ValueError("states must have equal dims")
     _check_eps(eps)
@@ -233,8 +233,8 @@ class RobustnessCertificate:
     primal_dual_gap: float
 
 
-def robustness(ch: Channel, gap_tol: float = 1e-8, feas_tol: float = FEAS_TOL,
-               max_newton: int = 60) -> RobustnessCertificate:
+def robustness(ch: Channel, gap_tol: float = 1e-8,
+               feas_tol: float = FEAS_TOL) -> RobustnessCertificate:
     """min r >= 0 such that (J(E) + r J(F))/(1+r) is the Jamiolkowski matrix
     of a classical channel, over channels F.
 
@@ -242,8 +242,9 @@ def robustness(ch: Channel, gap_tol: float = 1e-8, feas_tol: float = FEAS_TOL,
     only the d^2 diagonal entries y are free, tied by the d trace-preservation
     sums y_{0k} + ... + y_{(d-1)k} = r/d and minimized via r = Tr(Y). Solved
     by a log-det barrier with Newton steps on the equality-constrained
-    problem; barrier parameter grows by decades until the gap d^2/t is below
-    gap_tol. Feasibility of the certificate is re-verified before returning.
+    problem (at most MAX_NEWTON steps per round); barrier parameter grows by
+    decades until the gap d^2/t is below gap_tol. Feasibility of the
+    certificate is re-verified before returning.
     """
     d = ch.dim
     n = d * d
@@ -274,7 +275,7 @@ def robustness(ch: Channel, gap_tol: float = 1e-8, feas_tol: float = FEAS_TOL,
 
     while True:
         converged = False
-        for _ in range(max_newton):
+        for _ in range(MAX_NEWTON):
             ym = np.diag(y).astype(complex) + o
             yi = np.linalg.inv(ym)
             grad = np.concatenate([-np.real(np.diag(yi)), [t]])
@@ -495,7 +496,7 @@ def _strategy_value(povm: np.ndarray, taus: np.ndarray, m: int) -> float:
 
 
 def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
-                          rng: Rng | None = None, iters: int = 40) -> DiscriminationInstance:
+                          rng: Rng | None = None) -> DiscriminationInstance:
     """Alternating optimization of the input state and POVM for discriminating
     uniformly-chosen dephasing superchannels acting on a fixed gate.
 
@@ -531,7 +532,7 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
         taus = lifted.forward(psi)
         cur, cur_psi = _strategy_value(povm, taus, m), psi
         logs.append({"restart": rs, "iter": 0, "objective": cur})
-        for it in range(1, iters + 1):
+        for it in range(1, SEESAW_ITERS + 1):
             cand = _povm_candidate(taus, m, n)
             cand_val = _strategy_value(cand, taus, m)
             if cand_val > cur:

@@ -29,18 +29,18 @@ def _as_complex(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def assert_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def assert_hermitian(m: np.ndarray) -> np.ndarray:
     """Return m as a complex array, raising if it has a non-finite entry or is
-    not Hermitian within tol. Every validator goes through here, so this is
-    the package's one finiteness scan."""
+    not Hermitian within TOL_HERM. Every validator goes through here, so this
+    is the package's one finiteness scan."""
     m = _as_complex(m)
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix is not square: {m.shape}")
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} > {tol:.1e}")
+    if dev > TOL_HERM:
+        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} > {TOL_HERM:.1e}")
     return m
 
 
@@ -102,15 +102,13 @@ def reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def herm_eig(m: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, checked Hermitian first.
 
     Returns (w, v) with eigenvalues w ascending and unitary v such that
     m = v @ diag(w) @ v^dag.
     """
-    m = assert_hermitian(m, tol)
-    w, v = np.linalg.eigh(m)
-    return w, v
+    return np.linalg.eigh(assert_hermitian(m))
 
 
 def is_psd(m: np.ndarray, tol: float = TOL_PSD) -> bool:
@@ -119,18 +117,21 @@ def is_psd(m: np.ndarray, tol: float = TOL_PSD) -> bool:
     return bool(w.min() >= -tol) if w.size else True
 
 
-def gram_vectors(c: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
+def gram_vectors(c: np.ndarray) -> np.ndarray:
     """Vectors realizing a PSD matrix as a Gram matrix.
 
     Returns an n x n array whose i-th row v_i satisfies <v_j|v_i> = C_ij,
-    so each ||v_i||^2 = C_ii. Eigenvalues in [-tol, 0) are clipped to 0;
-    anything more negative is an error.
+    so each ||v_i||^2 = C_ii. Eigenvalues below -TOL_PSD are an error.
+    Eigenvalues at or below the numerical-rank floor n * eps * max(|w|, 1)
+    (the threshold of numpy.linalg.matrix_rank) are roundoff of a true zero
+    and set to 0, so a rank-deficient C yields exactly zero components
+    instead of sqrt(roundoff) noise of order 1e-8.
     """
     w, v = herm_eig(c)
-    if w.size and w.min() < -tol:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e} < -{tol:.1e}")
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w)
+    if w.size and w.min() < -TOL_PSD:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e} < -{TOL_PSD:.1e}")
+    floor = w.size * np.finfo(float).eps * max(float(np.abs(w).max(initial=0.0)), 1.0)
+    return v * np.sqrt(np.where(w > floor, w, 0.0))
 
 
 def _residual(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
@@ -146,35 +147,30 @@ def _orthonormalize(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def complete_isometry(
-    partial_map: Sequence[tuple[np.ndarray, np.ndarray]],
-    dim: int | None = None,
-    pivot_tol: float = PIVOT_TOL,
-    gram_tol: float = GRAM_TOL,
-) -> np.ndarray:
+def complete_isometry(partial_map: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Unitary W with W @ source_k = target_k for every (source, target) pair.
 
     Such a W exists iff the two collections share a Gram matrix; a mismatch
-    beyond gram_tol raises. The construction is deterministic: pivoted
+    beyond GRAM_TOL raises. The construction is deterministic: pivoted
     orthogonalization with the same pivot order on both collections (largest
-    residual norm first, stop below pivot_tol), then the orthogonal
+    residual norm first, stop below PIVOT_TOL), then the orthogonal
     complement is filled by orthogonalizing standard basis vectors in index
-    order on each side independently.
+    order on each side independently. W is n x n for vectors of length n.
     """
     sources = [np.asarray(s, dtype=complex).reshape(-1) for s, _ in partial_map]
     targets = [np.asarray(t, dtype=complex).reshape(-1) for _, t in partial_map]
     if not sources:
         raise ValueError("partial_map must contain at least one pair")
-    n = sources[0].size if dim is None else int(dim)
+    n = sources[0].size
     if any(v.size != n for v in sources + targets):
-        raise ValueError("all vectors must have length equal to dim")
+        raise ValueError("all vectors must have the same length")
 
     s_mat = np.stack(sources, axis=1)
     t_mat = np.stack(targets, axis=1)
     gram_dev = np.abs(s_mat.conj().T @ s_mat - t_mat.conj().T @ t_mat).max()
-    if gram_dev > gram_tol:
+    if gram_dev > GRAM_TOL:
         raise ValueError(
-            f"Gram matrices differ by {gram_dev:.3e} > {gram_tol:.1e}; no unitary maps sources to targets"
+            f"Gram matrices differ by {gram_dev:.3e} > {GRAM_TOL:.1e}; no unitary maps sources to targets"
         )
 
     basis_s: list[np.ndarray] = []
@@ -183,7 +179,7 @@ def complete_isometry(
     while remaining:
         norms = [np.linalg.norm(_residual(sources[j], basis_s)) for j in remaining]
         best = int(np.argmax(norms))
-        if norms[best] <= pivot_tol:
+        if norms[best] <= PIVOT_TOL:
             break
         j = remaining.pop(best)
         basis_s.append(_orthonormalize(sources[j], basis_s))
@@ -195,7 +191,7 @@ def complete_isometry(
                 break
             e = np.zeros(n, dtype=complex)
             e[j] = 1.0
-            if np.linalg.norm(_residual(e, basis)) > pivot_tol:
+            if np.linalg.norm(_residual(e, basis)) > PIVOT_TOL:
                 basis.append(_orthonormalize(e, basis))
 
     b_s = np.stack(basis_s, axis=1)

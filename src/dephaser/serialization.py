@@ -126,14 +126,14 @@ def dephasing_to_json(dc: DephasingChannelC) -> dict:
     return {"dim": int(dc.dim), "correlation": matrix_to_json(dc.c)}
 
 
-def dephasing_from_json(obj, tol: float = 1e-9) -> DephasingChannelC:
+def dephasing_from_json(obj) -> DephasingChannelC:
     if not isinstance(obj, dict) or "dim" not in obj or "correlation" not in obj:
         raise ValueError("dephasing-channel JSON needs dim and correlation fields")
     d = _json_int(obj, "dim", "dephasing-channel")
     c = matrix_from_json(obj["correlation"])
     if c.shape != (d, d):
         raise ValueError(f"correlation shape {c.shape} does not match dim {d}")
-    return dephasing_c(c, tol)
+    return dephasing_c(c)
 
 
 def realization_to_json(real: SuperRealization) -> dict:

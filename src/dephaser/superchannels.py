@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    TOL_HERM,
     TOL_PSD,
     assert_hermitian,
     complete_isometry,
     gram_vectors,
-    herm_eig,
     kron,
     partial_trace,
     partial_transpose,
@@ -115,7 +113,7 @@ def _tp_defect(ch: Channel, c: np.ndarray, d: int) -> float:
 def validate(c: np.ndarray, d: int, tol: float = TOL_PSD) -> DephasingSuperchannel | Violation:
     """Check the three structural conditions on C; return the superchannel or
     the first Violation found (diagonal, then block equality, then PSD)."""
-    c = assert_hermitian(c, TOL_HERM)
+    c = assert_hermitian(c)
     if c.shape != (d * d, d * d):
         raise ValueError(f"correlation shape {c.shape} does not match dim {d}")
     idx = _first_diagonal_violation(c, d, tol)
@@ -161,7 +159,7 @@ def _block_witness(d: int, idx: tuple[int, int, int, int]) -> Channel:
 def witness(c: np.ndarray, d: int, kind: str) -> Channel:
     """A channel whose image under the Schur action of c breaks trace
     preservation; the defect is quantified by the validate() report."""
-    c = assert_hermitian(c, TOL_HERM)
+    c = assert_hermitian(c)
     if kind == DIAGONAL_NOT_ONE:
         idx = _first_diagonal_violation(c, d, 0.0)
         if idx is None:
@@ -227,15 +225,15 @@ def realize(sc: DephasingSuperchannel) -> SuperRealization:
     m = d * d
     xi = gram_vectors(sc.c)  # row a = xi_a, dimension d^2
     e0 = np.eye(m, dtype=complex)[0]
-    us = tuple(complete_isometry([(e0, xi[k])], dim=m) for k in range(d))
+    us = tuple(complete_isometry([(e0, xi[k])]) for k in range(d))
     vs = [np.eye(m, dtype=complex)]
     for i in range(1, d):
         pairs = [(xi[k], xi[i * d + k]) for k in range(d)]
-        vs.append(complete_isometry(pairs, dim=m))
+        vs.append(complete_isometry(pairs))
     return SuperRealization(us=us, vs=tuple(vs))
 
 
-def from_unitaries(us, vs, tol: float = TOL_PSD) -> DephasingSuperchannel:
+def from_unitaries(us, vs) -> DephasingSuperchannel:
     """Correlation matrix of the superchannel realized by memory unitaries:
 
         C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)>,  psi_(ik) = V_i U_k |0>.
@@ -256,7 +254,7 @@ def from_unitaries(us, vs, tol: float = TOL_PSD) -> DephasingSuperchannel:
         for k in range(d):
             psi[:, i * d + k] = vs[i] @ us[k][:, 0]
     c = (psi.conj().T @ psi).T
-    return superchannel(c, d, tol)
+    return superchannel(c, d)
 
 
 def identity_superchannel(d: int) -> DephasingSuperchannel:
@@ -306,8 +304,8 @@ def memory_class(sc: DephasingSuperchannel, tol: float = TOL_PSD) -> MemoryClass
     product matrix is within tol in Frobenius norm; PPT otherwise.
     """
     d = sc.dim
-    pt = partial_transpose(sc.c, (d, d), 2)
-    w, _ = herm_eig(pt)
+    # the partial transpose of the validated Hermitian C is Hermitian
+    w, _ = np.linalg.eigh(partial_transpose(sc.c, (d, d), 2))
     ppt_min = float(w.min())
     ratio, residual = _nearest_product(sc.c, d)
     if ppt_min < -tol:

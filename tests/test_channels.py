@@ -128,11 +128,20 @@ def test_stinespring_dilation_reproduces_channel():
 
 
 def test_stinespring_complete_is_unitary():
-    ch = chn.random_channel(Rng(35), 2, 3)
-    w = chn.stinespring(ch, complete=True)
-    n = w.shape[0]
-    assert w.shape == (n, n)
-    assert np.abs(w.conj().T @ w - np.eye(n)).max() < 1e-9
+    cases = [chn.random_channel(Rng(35), 2, 3)]
+    cases += [chn.random_channel(Rng(35).derive(10 * d + r), d, r)
+              for d in (2, 3, 4) for r in (1, d, d * d)]
+    for ch in cases:
+        d = ch.dim
+        iso = chn.stinespring(ch)
+        w = chn.stinespring(ch, complete=True)
+        n = w.shape[0]
+        assert w.shape == (n, n) and n == iso.shape[0]
+        assert np.abs(w.conj().T @ w - np.eye(n)).max() < 1e-9
+        # U (e_j (x) |0>_env) = W e_j, with row index (i, e) -> i * r_env + e
+        r_env = n // d
+        for j in range(d):
+            assert np.abs(w[:, j * r_env] - iso[:, j]).max() < 1e-9
 
 
 def test_dephasing_channel_limits():

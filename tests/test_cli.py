@@ -143,6 +143,31 @@ def test_classify_missing_file(capsys):
     assert code == 2
 
 
+def test_classify_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "classify", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 2, "note": "\xe9"}')
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 2
+    assert out == ""
+    assert "invalid JSON input" in err
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "sample", "--dim", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_apply_identity_superchannel(tmp_path, capsys):
     sc_path = write_superchannel(tmp_path, np.ones((4, 4)), 2)
     ch = chn.random_channel(Rng(101), 2, 2)

@@ -226,7 +226,7 @@ def test_gram_vectors_rejects_indefinite():
 
 def test_complete_isometry_identity_map():
     e0 = np.array([1.0, 0.0], dtype=complex)
-    w = linalg.complete_isometry([(e0, e0)], dim=2)
+    w = linalg.complete_isometry([(e0, e0)])
     assert np.abs(w @ e0 - e0).max() < 1e-12
     assert np.abs(w.conj().T @ w - np.eye(2)).max() < 1e-10
 
@@ -234,7 +234,7 @@ def test_complete_isometry_identity_map():
 def test_complete_isometry_swap_pair():
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
-    w = linalg.complete_isometry([(e0, e1)], dim=2)
+    w = linalg.complete_isometry([(e0, e1)])
     assert np.abs(w @ e0 - e1).max() < 1e-12
     assert np.abs(w.conj().T @ w - np.eye(2)).max() < 1e-10
 
@@ -246,7 +246,7 @@ def test_complete_isometry_recovers_unitary_action():
         v = haar_unitary(rng.derive(trial), d)
         sources = [rng.derive(100 + trial * 10 + k).complex_normal((d,)) for k in range(2)]
         pairs = [(s, v @ s) for s in sources]
-        w = linalg.complete_isometry(pairs, dim=d)
+        w = linalg.complete_isometry(pairs)
         for s, t in pairs:
             assert np.abs(w @ s - t).max() < 1e-9
         assert np.abs(w.conj().T @ w - np.eye(d)).max() < 1e-10
@@ -255,11 +255,11 @@ def test_complete_isometry_recovers_unitary_action():
 def test_complete_isometry_gram_mismatch():
     e0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError):
-        linalg.complete_isometry([(e0, 2.0 * e0)], dim=2)
+        linalg.complete_isometry([(e0, 2.0 * e0)])
 
 
 def test_complete_isometry_deterministic_completion():
     e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    w1 = linalg.complete_isometry([(e0, e0)], dim=3)
-    w2 = linalg.complete_isometry([(e0, e0)], dim=3)
+    w1 = linalg.complete_isometry([(e0, e0)])
+    w2 = linalg.complete_isometry([(e0, e0)])
     assert np.array_equal(w1, w2)

@@ -215,6 +215,26 @@ def test_realize_roundtrip_product_form():
     assert np.abs(rebuilt.c - sc.c).max() < 1e-9
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["identity", "pre_post_ones"])
+def test_realize_rank_deficient(d, case):
+    # rank-1 and low-rank C: the Gram vectors must carry no sqrt(roundoff)
+    # components, or the pivoted completion normalizes noise into the basis
+    if case == "identity":
+        sc = sup.identity_superchannel(d)
+    else:
+        sc = sup.pre_post(chn.dephasing_c(np.ones((d, d))), chn.random_dephasing(Rng(58), d))
+    real = sup.realize(sc)
+    m = d * d
+    for w in real.us + real.vs:
+        assert np.abs(w.conj().T @ w - np.eye(m)).max() < 1e-10
+    rebuilt = sup.from_unitaries(real.us, real.vs)
+    assert np.abs(rebuilt.c - sc.c).max() < 1e-9
+    if case == "identity":
+        for v in real.vs:
+            assert np.abs(v - np.eye(m)).max() < 1e-12
+
+
 def test_realize_roundtrip_fixture():
     sc = three_level_npt_superchannel()
     real = sup.realize(sc)
