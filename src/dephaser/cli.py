@@ -2,9 +2,9 @@
 
 Subcommands: sample, classify, apply, realize, coherence, distinguish,
 verify. Every command prints a JSON report to stdout containing the schema
-version, the fully resolved config (seed, tolerance table, flags), the
-command results, and the wall time; --out additionally writes just the
-results payload, which is byte-deterministic for a fixed config.
+version, the fully resolved config (seed, the tolerances the command reads,
+flags), the command results, and the wall time; --out additionally writes
+just the results payload, which is byte-deterministic for a fixed config.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, file I/O or JSON
 parse error, 3 semantic input error (invalid matrices, dim mismatch), 4
@@ -14,6 +14,7 @@ solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -37,9 +38,19 @@ EXIT_USAGE = 2
 EXIT_SEMANTIC = 3
 EXIT_SOLVER = 4
 
+SEED_MAX = 2**64 - 1
 
-class _UsageError(Exception):
-    pass
+# The tolerances each subcommand reads: its parser accepts --tol.NAME for
+# these names only, and its report echoes exactly these.
+_TOLERANCES = {
+    "sample": (),
+    "classify": ("psd",),
+    "apply": ("psd",),
+    "realize": ("psd",),
+    "coherence": ("psd", "feas", "gap"),
+    "distinguish": ("psd", "feas", "gap"),
+    "verify": tuple(ver.DEFAULT_TOLERANCES),
+}
 
 
 def _positive_int(text: str) -> int:
@@ -51,8 +62,8 @@ def _positive_int(text: str) -> int:
 
 def _uint64(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {text}")
+    if not 0 <= value <= SEED_MAX:
+        raise argparse.ArgumentTypeError(f"seed must be in 0..2^64-1, got {text}")
     return value
 
 
@@ -63,51 +74,7 @@ def _eps_value(text: str) -> float:
     return value
 
 
-def _extract_tol_overrides(argv: list[str]) -> tuple[dict, list[str]]:
-    """Pull --tol.NAME[=]VALUE pairs out of argv before argparse sees them."""
-    overrides: dict[str, float] = {}
-    rest: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol."):
-            body = arg[len("--tol.") :]
-            if "=" in body:
-                name, _, text = body.partition("=")
-            else:
-                name = body
-                i += 1
-                if i >= len(argv):
-                    raise _UsageError(f"--tol.{name} needs a value")
-                text = argv[i]
-            if name not in ver.DEFAULT_TOLERANCES:
-                known = ", ".join(sorted(ver.DEFAULT_TOLERANCES))
-                raise _UsageError(f"unknown tolerance {name!r}; known: {known}")
-            try:
-                overrides[name] = float(text)
-            except ValueError:
-                raise _UsageError(f"--tol.{name} needs a number, got {text!r}") from None
-        else:
-            rest.append(arg)
-        i += 1
-    return overrides, rest
-
-
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("DEPHASER_SEED")
-    if env is None:
-        return 0
-    try:
-        value = int(env)
-    except ValueError:
-        raise _UsageError(f"DEPHASER_SEED must be an integer, got {env!r}") from None
-    if value < 0:
-        raise _UsageError(f"DEPHASER_SEED must be nonnegative, got {env!r}")
-    return value
-
-
+@functools.cache  # parsing keeps no state in the parser; build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dephaser",
@@ -116,53 +83,79 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=_uint64, default=None,
                        help="RNG seed (default: DEPHASER_SEED env var, else 0)")
         p.add_argument("--out", type=str, default=None,
                        help="write the results payload to this JSON file")
+        for tol in _TOLERANCES[name]:
+            default = ver.DEFAULT_TOLERANCES[tol]
+            p.add_argument(f"--tol.{tol}", type=float, default=default, metavar="VALUE",
+                           help=f"tolerance (default {default:g})")
+        return p
 
-    p = sub.add_parser("sample", help="emit random objects")
+    p = command("sample", "emit random objects")
     p.add_argument("--kind", choices=("superchannel", "channel", "dephasing-channel"),
                    default="superchannel")
     p.add_argument("--dim", type=_positive_int, default=2)
     p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--rank", type=_positive_int, default=None,
                    help="Kraus rank for --kind channel (default d^2)")
-    common(p)
 
-    p = sub.add_parser("classify", help="validate and classify a correlation matrix")
+    p = command("classify", "validate and classify a correlation matrix")
     p.add_argument("input", type=str)
-    common(p)
 
-    p = sub.add_parser("apply", help="apply a superchannel to a channel")
+    p = command("apply", "apply a superchannel to a channel")
     p.add_argument("superchannel", type=str)
     p.add_argument("channel", type=str)
-    common(p)
 
-    p = sub.add_parser("realize", help="pre/post memory unitaries for a superchannel")
+    p = command("realize", "pre/post memory unitaries for a superchannel")
     p.add_argument("superchannel", type=str)
-    common(p)
 
-    p = sub.add_parser("coherence", help="coherence, robustness, and divergence bounds")
+    p = command("coherence", "coherence, robustness, and divergence bounds")
     p.add_argument("channel", type=str)
     p.add_argument("--eps", type=_eps_value, action="append", default=None,
                    help="type-I error(s) for the divergence bound (repeatable; default 0 and 0.1)")
     p.add_argument("--restarts", type=_positive_int, default=8)
-    common(p)
 
-    p = sub.add_parser("distinguish", help="seesaw discrimination of superchannels on a gate")
+    p = command("distinguish", "seesaw discrimination of superchannels on a gate")
     p.add_argument("gate", type=str)
     p.add_argument("superchannels", type=str, nargs="+",
                    help="two or more superchannel JSON files")
     p.add_argument("--restarts", type=_positive_int, default=32)
-    common(p)
 
-    p = sub.add_parser("verify", help="run the acceptance criteria suite")
+    p = command("verify", "run the acceptance criteria suite")
     p.add_argument("--trials", type=_positive_int, default=None,
                    help="cap per-loop trial counts (quick mode)")
-    common(p)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv and resolve the seed. Every usage error, an unknown
+    --tol.NAME included, exits through parser.error (SystemExit 2)."""
+    parser = _build_parser()
+    args, extras = parser.parse_known_args(argv)
+    for arg in extras:
+        if arg.startswith("--tol."):
+            name = arg[len("--tol."):].partition("=")[0]
+            if name in _TOLERANCES[args.command]:  # only the subcommand's parser takes it
+                parser.error(f"--tol.{name} must follow the subcommand {args.command}")
+            known = ", ".join(_TOLERANCES[args.command]) or "none"
+            parser.error(f"unknown tolerance {name!r} for {args.command}; known: {known}")
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    if getattr(args, "rank", None) is not None and args.kind != "channel":
+        parser.error("--rank applies only to --kind channel")
+    if args.seed is None:
+        env = os.environ.get("DEPHASER_SEED", "0")
+        try:
+            args.seed = _uint64(env)
+        except ValueError:
+            parser.error(f"DEPHASER_SEED must be an integer, got {env!r}")
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"DEPHASER_SEED: {exc}")
+    return args
 
 
 def _load_json(path: str) -> dict:
@@ -206,16 +199,7 @@ def _cmd_classify(args, tol: dict, seed: int):
     c, d = ser.correlation_from_json(_load_json(args.input))
     out = ssc.validate(c, d, tol["psd"])
     if isinstance(out, ssc.Violation):
-        results = {
-            "valid": False,
-            "violation": {
-                "kind": out.kind,
-                "indices": list(out.indices),
-                "defect": ser.encode_float(out.defect),
-                "witness_channel": None if out.witness is None
-                else ser.channel_to_json(out.witness),
-            },
-        }
+        results = {"valid": False, "violation": ser.violation_to_json(out)}
         return results, {"valid": False}, EXIT_SEMANTIC
     mc = ssc.memory_class(out, tol["psd"])
     results = {
@@ -311,8 +295,7 @@ def _cmd_distinguish(args, tol: dict, seed: int):
 
 
 def _cmd_verify(args, tol: dict, seed: int):
-    overrides = {k: v for k, v in tol.items() if ver.DEFAULT_TOLERANCES.get(k) != v}
-    results = ver.run_all(seed=seed, trials=args.trials, tolerances=overrides)
+    results = ver.run_all(seed=seed, trials=args.trials, tolerances=tol)
     rows = []
     for r in results:
         rows.append({
@@ -359,28 +342,15 @@ def _config_echo(args, tol: dict, seed: int) -> dict:
 
 
 def main(argv=None) -> int:
-    raw = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        overrides, rest = _extract_tol_overrides(raw)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(rest)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    tol = dict(ver.DEFAULT_TOLERANCES)
-    tol.update(overrides)
-    try:
-        seed = _resolve_seed(args.seed)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    tol = {name: getattr(args, f"tol.{name}") for name in _TOLERANCES[args.command]}
 
     start = time.perf_counter()
     try:
-        results, checks, code = _HANDLERS[args.command](args, tol, seed)
+        results, checks, code = _HANDLERS[args.command](args, tol, args.seed)
         results = _sanitize(results)
         wall = time.perf_counter() - start
         if args.out:  # written before the report, so a failed write prints no report
@@ -393,17 +363,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ssc.InvalidCorrelationError as exc:
-        v = exc.violation
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
-            "config": _config_echo(args, tol, seed),
-            "error": {
-                "kind": v.kind,
-                "indices": list(v.indices),
-                "defect": ser.encode_float(v.defect),
-                "witness_channel": None if v.witness is None else ser.channel_to_json(v.witness),
-            },
+            "config": _config_echo(args, tol, args.seed),
+            "error": ser.violation_to_json(exc.violation),
             "wall_time_s": time.perf_counter() - start,
         }
         print(ser.dumps(_sanitize(report)), end="")
@@ -418,7 +382,7 @@ def main(argv=None) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "config": _config_echo(args, tol, seed),
+        "config": _config_echo(args, tol, args.seed),
         "results": results,
         "wall_time_s": wall,
     }

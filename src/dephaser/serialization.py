@@ -14,9 +14,11 @@ import math
 import numpy as np
 
 from .channels import Channel, DephasingChannelC, dephasing_c, from_jam, from_kraus
+from .linalg import TOL_PSD
 from .superchannels import (
     DephasingSuperchannel,
     SuperRealization,
+    Violation,
     superchannel,
 )
 
@@ -82,7 +84,7 @@ def channel_to_json(ch: Channel) -> dict:
     return {"dim": int(ch.dim), "jamiolkowski": matrix_to_json(ch.jam)}
 
 
-def channel_from_json(obj, tol: float = 1e-9) -> Channel:
+def channel_from_json(obj, tol: float = TOL_PSD) -> Channel:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("channel JSON must be an object with a dim field")
     d = _json_int(obj, "dim", "channel")
@@ -117,9 +119,18 @@ def correlation_from_json(obj) -> tuple[np.ndarray, int]:
     return c, d
 
 
-def superchannel_from_json(obj, tol: float = 1e-9) -> DephasingSuperchannel:
+def superchannel_from_json(obj, tol: float = TOL_PSD) -> DephasingSuperchannel:
     c, d = correlation_from_json(obj)
     return superchannel(c, d, tol)
+
+
+def violation_to_json(v: Violation) -> dict:
+    return {
+        "kind": v.kind,
+        "indices": list(v.indices),
+        "defect": encode_float(v.defect),
+        "witness_channel": None if v.witness is None else channel_to_json(v.witness),
+    }
 
 
 def dephasing_to_json(dc: DephasingChannelC) -> dict:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     TOL_PSD,
+    TOL_UNIT,
     assert_hermitian,
     complete_isometry,
     gram_vectors,
@@ -247,7 +248,7 @@ def from_unitaries(us, vs) -> DephasingSuperchannel:
     if len(vs) != d:
         raise ValueError("need as many post- as pre-unitaries")
     for w in (*us, *vs):
-        if w.shape != (m, m) or not np.abs(w.conj().T @ w - np.eye(m)).max() <= 1e-10:
+        if w.shape != (m, m) or not np.abs(w.conj().T @ w - np.eye(m)).max() <= TOL_UNIT:
             raise ValueError("memory operators must be unitary and equally sized")
     psi = np.zeros((m, d * d), dtype=complex)
     for i in range(d):

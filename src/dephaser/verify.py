@@ -19,17 +19,17 @@ from . import channels as chn
 from . import coherence as coh
 from . import superchannels as ssc
 from . import fixtures as fx
-from .linalg import herm_eig, is_psd, partial_transpose
+from .linalg import TOL_PSD, TOL_UNIT, herm_eig, is_psd, partial_transpose
 from .sampling import Rng, random_state
 
 DEFAULT_TOLERANCES = {
-    "unit": 1e-10,
-    "psd": 1e-9,
+    "unit": TOL_UNIT,
+    "psd": TOL_PSD,
     "exact": 1e-12,
     "roundtrip": 1e-9,
     "spectrum": 1e-10,
     "mono": 1e-9,
-    "feas": 1e-8,
+    "feas": coh.FEAS_TOL,
     "gap": 1e-8,
     "dh": 1e-8,
     "seesaw": 1e-9,

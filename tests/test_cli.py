@@ -7,6 +7,7 @@ import pytest
 
 from dephaser import cli, serialization as ser
 from dephaser import channels as chn
+from dephaser import coherence as coh
 from dephaser import superchannels as sup
 from dephaser.sampling import Rng
 
@@ -360,7 +361,117 @@ def test_verify_negative_control(capsys):
 
 
 def test_config_echoes_tolerances(capsys):
-    _, out, _ = run_cli(capsys, "sample", "--n", "1", "--seed", "0", "--tol.psd=1e-8")
+    _, out, _ = run_cli(capsys, "classify", fixture_path("corr3_npt.json"), "--seed", "0", "--tol.psd=1e-8")
     cfg = json.loads(out)["config"]
-    assert cfg["tolerances"]["psd"] == 1e-8
-    assert "unit" in cfg["tolerances"]
+    assert cfg["tolerances"] == {"psd": 1e-8}
+
+
+ALL_TOLERANCES = ("unit", "psd", "exact", "roundtrip", "spectrum", "mono",
+                  "feas", "gap", "dh", "seesaw", "grid")
+# positional arguments per subcommand; parsing never opens them
+COMMAND_ARGS = {
+    "sample": [], "classify": ["x"], "apply": ["x", "y"], "realize": ["x"],
+    "coherence": ["x"], "distinguish": ["x", "y", "z"], "verify": [],
+}
+READ_TOLERANCES = {
+    "sample": set(), "classify": {"psd"}, "apply": {"psd"}, "realize": {"psd"},
+    "coherence": {"psd", "gap", "feas"}, "distinguish": {"psd", "gap", "feas"},
+    "verify": set(ALL_TOLERANCES),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@pytest.mark.parametrize("name", ALL_TOLERANCES + ("herm", "eig", "gram"))
+def test_tolerance_flags_only_where_read(capsys, command, name):
+    known = ", ".join(n for n in ALL_TOLERANCES if n in READ_TOLERANCES[command]) or "none"
+    for flag in ([f"--tol.{name}", "0.5"], [f"--tol.{name}=0.5"]):
+        argv = [command, *COMMAND_ARGS[command], *flag]
+        if name in READ_TOLERANCES[command]:
+            assert getattr(cli._parse_args(argv), f"tol.{name}") == 0.5
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli._parse_args(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unknown tolerance '{name}' for {command}; known: {known}" in err
+
+
+def test_tol_before_subcommand_exits_2(capsys):
+    code, out, err = run_cli(capsys, "--tol.psd=1e-7", "classify", fixture_path("corr3_npt.json"))
+    assert code == 2
+    assert out == ""
+    assert "--tol.psd must follow the subcommand classify" in err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["sample"], {}),
+    (["coherence", fixture_path("hadamard_channel.json"), "--eps", "0.1", "--restarts", "1",
+      "--tol.gap", "1e-9"], {"psd": 1e-9, "gap": 1e-9, "feas": 1e-8}),
+    (["verify", "--trials", "1", "--tol.grid", "2e-3"],
+     {"unit": 1e-10, "psd": 1e-9, "exact": 1e-12, "roundtrip": 1e-9, "spectrum": 1e-10,
+      "mono": 1e-9, "feas": 1e-8, "gap": 1e-8, "dh": 1e-8, "seesaw": 1e-9, "grid": 2e-3}),
+], ids=["sample", "coherence", "verify"])
+def test_config_echoes_only_read_tolerances(capsys, argv, expected):
+    _, out, _ = run_cli(capsys, *argv)
+    assert json.loads(out)["config"]["tolerances"] == expected
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_seed_range_is_uint64(capsys, monkeypatch, via):
+    for seed, code in ((2**64, 2), (2**64 + 1, 2), (2**64 - 1, 0)):
+        argv = ["sample", "--n", "1"]
+        if via == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            monkeypatch.setenv("DEPHASER_SEED", str(seed))
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["config"]["seed"] == seed
+        else:
+            assert out == "" and "0..2^64-1" in err
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["channel", "dephasing-channel"])
+def test_sample_channel_kinds(capsys, kind, d):
+    ranks = [None, 1, d * d] if kind == "channel" else [None]
+    for rank in ranks:
+        argv = ["sample", "--kind", kind, "--dim", str(d), "--n", "3", "--seed", "4"]
+        if rank is not None:
+            argv += ["--rank", str(rank)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        items = parse_report(out)["results"]["items"]
+        assert len(items) == 3
+        for item in items:
+            if kind == "channel":
+                ch = ser.channel_from_json(item)
+                assert ch.dim == d
+                assert len(chn.to_kraus(ch)) == (d * d if rank is None else rank)
+            else:
+                assert ser.dephasing_from_json(item).dim == d
+
+
+@pytest.mark.parametrize("kind", ["superchannel", "dephasing-channel"])
+def test_sample_rank_needs_channel_kind(capsys, kind):
+    code, out, err = run_cli(capsys, "sample", "--kind", kind, "--rank", "2")
+    assert code == 2
+    assert out == ""
+    assert "--rank applies only to --kind channel" in err
+
+
+@pytest.mark.parametrize("command", ["coherence", "distinguish"])
+def test_solver_failure_exits_4(capsys, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise coh.SolverError("no convergence")
+
+    monkeypatch.setattr(coh, "robustness", fail)
+    had = fixture_path("hadamard_channel.json")
+    argv = [command, had] if command == "coherence" else [
+        command, had, fixture_path("corr2_sign_flip.json"), fixture_path("corr2_sign_flip.json"),
+        "--restarts", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == ["error: solver failed: no convergence"]
