@@ -67,6 +67,16 @@ def _uint64(text: str) -> int:
     return value
 
 
+def _tol_value(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):  # a NaN or inf tolerance would also reach the report
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _eps_value(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < 1.0:
@@ -91,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the results payload to this JSON file")
         for tol in _TOLERANCES[name]:
             default = ver.DEFAULT_TOLERANCES[tol]
-            p.add_argument(f"--tol.{tol}", type=float, default=default, metavar="VALUE",
+            p.add_argument(f"--tol.{tol}", type=_tol_value, default=default, metavar="VALUE",
                            help=f"tolerance (default {default:g})")
         return p
 
@@ -161,22 +171,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        if math.isnan(float(obj)):
-            return None
-        return ser.encode_float(obj)
-    return obj
 
 
 def _cmd_sample(args, tol: dict, seed: int):
@@ -251,7 +245,7 @@ def _cmd_coherence(args, tol: dict, seed: int):
     ch = ser.channel_from_json(_load_json(args.channel), tol["psd"])
     eps_list = args.eps if args.eps else [0.0, 0.1]
     cert = coh.robustness(ch, gap_tol=tol["gap"], feas_tol=tol["feas"])
-    checks = coh.check_certificate(ch, cert, tol["feas"])
+    checks = coh.check_certificate(ch, cert, tol["feas"], tol["gap"])
     classical = chn.classical_version(ch)
     rng = Rng(seed)
     bounds = []
@@ -351,7 +345,6 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         results, checks, code = _HANDLERS[args.command](args, tol, args.seed)
-        results = _sanitize(results)
         wall = time.perf_counter() - start
         if args.out:  # written before the report, so a failed write prints no report
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -370,7 +363,7 @@ def main(argv=None) -> int:
             "error": ser.violation_to_json(exc.violation),
             "wall_time_s": time.perf_counter() - start,
         }
-        print(ser.dumps(_sanitize(report)), end="")
+        print(ser.dumps(report), end="")
         return EXIT_SEMANTIC
     except coh.SolverError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
@@ -387,7 +380,7 @@ def main(argv=None) -> int:
         "wall_time_s": wall,
     }
     if checks is not None:
-        report["checks"] = _sanitize(checks)
+        report["checks"] = checks
     print(ser.dumps(report), end="")
     return code
 

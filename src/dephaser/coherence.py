@@ -31,6 +31,7 @@ MEASURES = (L1, REL_ENT)
 
 DH_VALUE_FLOOR = 1e-12  # optimum below this reports +inf
 FEAS_TOL = 1e-8
+GAP_TOL = 1e-8  # barrier duality gap at which robustness stops
 MAX_NEWTON = 60  # Newton steps per barrier round before SolverError
 SEESAW_ITERS = 40  # alternating steps per seesaw restart
 
@@ -233,7 +234,7 @@ class RobustnessCertificate:
     primal_dual_gap: float
 
 
-def robustness(ch: Channel, gap_tol: float = 1e-8,
+def robustness(ch: Channel, gap_tol: float = GAP_TOL,
                feas_tol: float = FEAS_TOL) -> RobustnessCertificate:
     """min r >= 0 such that (J(E) + r J(F))/(1+r) is the Jamiolkowski matrix
     of a classical channel, over channels F.
@@ -325,15 +326,15 @@ def robustness(ch: Channel, gap_tol: float = 1e-8,
     value = float(r)
     target = (d * np.real(np.diag(jam + ym)) / (1.0 + value)).reshape(d, d)
     cert = RobustnessCertificate(value, Channel(dim=d, jam=ym / value), target, gap)
-    checks = check_certificate(ch, cert, feas_tol)
+    checks = check_certificate(ch, cert, feas_tol, gap_tol)
     if not checks["ok"]:
         raise SolverError(f"robustness certificate failed re-verification: {checks}")
     return cert
 
 
 def check_certificate(ch: Channel, cert: RobustnessCertificate,
-                      feas_tol: float = FEAS_TOL) -> dict:
-    """Independent feasibility residuals of a robustness certificate."""
+                      feas_tol: float = FEAS_TOL, gap_tol: float = GAP_TOL) -> dict:
+    """Independent residuals of a certificate; ok holds them to feas_tol, its gap to gap_tol."""
     d = ch.dim
     t = np.asarray(cert.classical_target)
     report: dict = {"value": cert.value, "gap": cert.primal_dual_gap}
@@ -357,7 +358,7 @@ def check_certificate(ch: Channel, cert: RobustnessCertificate,
         and report["tp_residual"] <= feas_tol
         and report["target_column_residual"] <= feas_tol
         and report["target_min_entry"] >= -feas_tol
-        and cert.primal_dual_gap <= feas_tol
+        and cert.primal_dual_gap <= gap_tol
         and cert.value >= -feas_tol
     )
     return report

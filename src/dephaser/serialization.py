@@ -2,14 +2,15 @@
 solver artifacts.
 
 Matrix schema: {"rows": r, "cols": c, "data": [[re, im], ...]} with the data
-list in row-major order. Non-finite report values are serialized as the
-strings "inf" / "-inf" since JSON has no infinity literal.
+list in row-major order. Reports are strict JSON: `dumps` writes a NaN as
+null and +inf / -inf as the strings "inf" / "-inf".
 """
 
 from __future__ import annotations
 
-import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -27,7 +28,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("matrix must be 2-dimensional")
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    data = np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
@@ -189,4 +190,44 @@ def instance_to_json(inst) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n" in one walk that reads
+    numpy scalars as Python values and writes NaN as null and +-inf as "inf" /
+    "-inf"; any other leaf type but str and None raises TypeError."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, nl: str) -> str:
+    """JSON text of obj; nl is the newline and indent of the line it starts on."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return float.__repr__(x) if math.isfinite(x) else "null" if math.isnan(x) else f'"{x}"'
+    if obj is None:
+        return "null"
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = [f"{_encode_str(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = _float_pairs(obj, inner) or [_encode(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
+
+
+def _float_pairs(seq, inner: str) -> list[str] | None:
+    """_encode's items, as one text from a per-pair template, of a list of
+    [re, im] pairs of finite Python floats (a matrix's data); else None."""
+    if not (set(map(type, seq)) <= {list, tuple} and set(map(len, seq)) == {2}
+            and set(map(type, flat := tuple(chain.from_iterable(seq)))) == {float}):
+        return None
+    pad = inner + "  "
+    text = ("," + inner).join([f"[{pad}%r,{pad}%r{inner}]"] * len(seq)) % flat
+    # a finite float's repr has no "n"; nan, inf and -inf all have one
+    return None if "n" in text else [text]

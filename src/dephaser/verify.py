@@ -30,7 +30,7 @@ DEFAULT_TOLERANCES = {
     "spectrum": 1e-10,
     "mono": 1e-9,
     "feas": coh.FEAS_TOL,
-    "gap": 1e-8,
+    "gap": coh.GAP_TOL,
     "dh": 1e-8,
     "seesaw": 1e-9,
     "grid": 1e-3,
@@ -257,7 +257,7 @@ def _c9_robustness_sdp(cfg: VerifyConfig) -> CriterionResult:
         cert = coh.robustness(ch, gap_tol=cfg.tol["gap"], feas_tol=cfg.tol["feas"])
         grid = coh.robustness_grid(ch, resolution=tol)
         worst = max(worst, abs(cert.value - grid))
-        checks = coh.check_certificate(ch, cert, cfg.tol["feas"])
+        checks = coh.check_certificate(ch, cert, cfg.tol["feas"], cfg.tol["gap"])
         worst_feas = max(worst_feas, checks["offdiag_residual"], checks["tp_residual"],
                          -checks["psd_min_eig"], checks["target_column_residual"])
     t = _random_stochastic(rng.derive(777), 2)

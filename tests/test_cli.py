@@ -293,7 +293,10 @@ def test_removed_tolerance_names_are_unknown(capsys, name):
 def test_non_finite_kraus_entry_exits_3(tmp_path, capsys, command):
     kraus = np.array(HAD_KRAUS, dtype=complex)
     kraus[1, 0] = np.nan
-    ch_path = write_channel(tmp_path, {"dim": 2, "kraus": [ser.matrix_to_json(kraus)]})
+    # json.dumps writes the NaN literal; ser.dumps would write null
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps({"dim": 2, "kraus": [ser.matrix_to_json(kraus)]}))
+    ch_path = str(path)
     argv = [command, ch_path] if command == "coherence" else [
         command, write_superchannel(tmp_path, np.ones((4, 4)), 2), ch_path]
     code, _, err = run_cli(capsys, *argv)
@@ -340,6 +343,26 @@ def test_malformed_json_fields_exit_3(tmp_path, capsys, command, obj, message):
 def test_tol_override_bad_value(capsys):
     code, _, _ = run_cli(capsys, "verify", "--tol.psd", "tiny")
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_non_finite_tolerance_exits_2(capsys, command, value):
+    argv = [command, fixture_path("corr3_npt.json")] if command == "classify" else [command]
+    code, out, err = run_cli(capsys, *argv, f"--tol.psd={value}")  # "-inf" alone reads as a flag
+    assert code == 2
+    assert out == ""
+    assert f"argument --tol.psd: must be a finite number, got {value}" in err
+
+
+def test_gap_tolerance_checks_the_duality_gap(capsys):
+    # a gap target looser than feas is met by the certificate, not held to feas
+    code, out, _ = run_cli(capsys, "coherence", fixture_path("hadamard_channel.json"),
+                           "--eps", "0.0", "--restarts", "1", "--tol.gap", "1e-7")
+    assert code == 0
+    report = parse_report(out)
+    assert report["checks"]["certificate_ok"] is True
+    assert report["results"]["certificate_checks"]["gap"] <= 1e-7
 
 
 def test_verify_quick_mode(capsys):

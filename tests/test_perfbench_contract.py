@@ -2,9 +2,9 @@
 
 perfbench/ drives the package through its public API (function names,
 positional arguments, JSON formats, CLI exit codes and error texts). This
-builds the `pipeline` and `cli` workloads against the package under test and
-runs their set-up and checker self-tests, so an API break fails here instead
-of in a benchmark run. Nothing under perfbench/ is modified.
+builds the `verify-quick`, `pipeline` and `cli` workloads against the package
+under test and runs their set-up and checker self-tests, so an API break
+fails here instead of in a benchmark run. Nothing under perfbench/ is modified.
 """
 
 import importlib
@@ -25,7 +25,7 @@ def _load(name):
     return mod
 
 
-@pytest.mark.parametrize("workload", ["Pipeline", "Cli"])
+@pytest.mark.parametrize("workload", ["VerifyQuick", "Pipeline", "Cli"])
 def test_workload_setup_and_selftest(tmp_path, workload):
     layers = _load("tracing").LAYERS
     mods = {"package": dephaser,

@@ -141,3 +141,64 @@ def test_dumps_deterministic_and_sorted():
     assert s1 == s2
     assert s1.endswith("\n")
     assert s1.index('"a"') < s1.index('"b"')
+
+
+def ref_sanitize(obj):
+    """The report sanitizer that ran before json.dumps until ser.dumps took
+    over its job; kept as the reference the encoder must match."""
+    if isinstance(obj, dict):
+        return {k: ref_sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ref_sanitize(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        if math.isnan(float(obj)):
+            return None
+        return ser.encode_float(obj)
+    return obj
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1.7976931348623157e308])
+# [re, im] pair lists: all finite floats take the fast path; a NaN, inf, int
+# or bool entry must send the list down the general path
+PAIR_LISTS = st.one_of(
+    st.lists(st.lists(FINITE, min_size=2, max_size=2), min_size=1, max_size=6),
+    st.lists(st.lists(st.one_of(FINITE, EDGE_FLOATS, st.integers(-3, 3), st.booleans()),
+                      min_size=2, max_size=2).map(tuple), min_size=1, max_size=6),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**200, 2**200), st.floats(), EDGE_FLOATS,
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.text(),
+)
+# keys: any text, so non-ASCII, quotes, backslashes and control characters
+REPORTS = st.recursive(
+    st.one_of(SCALARS, PAIR_LISTS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@given(REPORTS)
+@settings(max_examples=300, deadline=None)
+def test_dumps_matches_sanitized_json_dumps(obj):
+    assert ser.dumps(obj) == json.dumps(ref_sanitize(obj), indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_matrix_data_fast_path_matches_json_dumps():
+    m = Rng(98).complex_normal((4, 4))
+    m[0, 0] = complex(-0.0, 5e-324)
+    obj = {"m": ser.matrix_to_json(m), "pairs": [[1.0, math.inf]], "ints": [[1, 2.0]]}
+    assert ser.dumps(obj) == json.dumps(ref_sanitize(obj), indent=2, sort_keys=True) + "\n"
+    assert '"inf"' in ser.dumps(obj) and "-0.0" in ser.dumps(obj)
+
+
+def test_dumps_rejects_array_leaf():
+    with pytest.raises(TypeError, match="ndarray"):
+        ser.dumps({"a": np.zeros(2)})
