@@ -23,7 +23,6 @@ from .linalg import (
     assert_hermitian,
     complete_isometry,
     gram_vectors,
-    kron,
     partial_trace,
     reshuffle,
 )
@@ -170,7 +169,7 @@ def _apply(ch: Channel, rho: np.ndarray, via: str = "jam") -> np.ndarray:
             out += k @ rho @ k.conj().T
         return out
     if via == "jam":
-        return d * partial_trace(ch.jam @ kron(np.eye(d), rho.T), (d, d), 2)
+        return d * np.einsum("ikjl,kl->ij", ch.jam.reshape(d, d, d, d), rho)
     raise ValueError(f"unknown via={via!r}")
 
 

@@ -53,34 +53,40 @@ _TOLERANCES = {
 }
 
 
+def _number(kind: type, text: str):
+    """kind(text), or None for a non-number, so each type function below
+    raises its own message instead of argparse naming the function."""
+    try:
+        return kind(text)
+    except ValueError:
+        return None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
+    value = _number(int, text)
+    if value is None or value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
 
 
 def _uint64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= SEED_MAX:
-        raise argparse.ArgumentTypeError(f"seed must be in 0..2^64-1, got {text}")
+    value = _number(int, text)
+    if value is None or not 0 <= value <= SEED_MAX:
+        raise argparse.ArgumentTypeError(f"seed must be an integer in 0..2^64-1, got {text}")
     return value
 
 
 def _tol_value(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):  # a NaN or inf tolerance would also reach the report
+    value = _number(float, text)
+    if value is None or not math.isfinite(value):  # a NaN or inf tolerance would also reach the report
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
 
 
 def _eps_value(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"eps must be in [0, 1), got {text}")
+    value = _number(float, text)
+    if value is None or not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"eps must be a number in [0, 1), got {text}")
     return value
 
 
@@ -161,8 +167,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         env = os.environ.get("DEPHASER_SEED", "0")
         try:
             args.seed = _uint64(env)
-        except ValueError:
-            parser.error(f"DEPHASER_SEED must be an integer, got {env!r}")
         except argparse.ArgumentTypeError as exc:
             parser.error(f"DEPHASER_SEED: {exc}")
     return args

@@ -86,8 +86,14 @@ def hypothesis_test_divergence(rho: np.ndarray, sigma: np.ndarray, eps: float = 
     Solved by the operator Neyman-Pearson construction: the optimal Q is the
     positive-part projector of rho - t*sigma for the right threshold t, plus
     a fractional multiple of the boundary eigenprojector to hit the
-    constraint exactly; t is found by bisection. Returns math.inf when the
-    optimal error is zero (up to 1e-12), e.g. for orthogonal supports.
+    constraint exactly. t is found by a safeguarded Newton search on
+    h(t) = Tr(P+(t) rho), keeping a bracket h(lo) >= 1-eps > h(hi) (up to
+    1e-15) until hi - lo <= 1e-12 max(1, lo). Each step is the nearer of the
+    smooth Newton step and the step that moves the eigenvalue next to zero,
+    on the root's side, to zero (an optimum on a jump of h); a step leaving
+    the bracket, or two steps not halving it, fall back to bisection.
+    Returns math.inf when the optimal error is zero (up to 1e-12), e.g. for
+    orthogonal supports.
     """
     rho = assert_state(rho)
     sigma = assert_state(sigma)
@@ -126,25 +132,50 @@ def _np_test_optimum(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     t_max = ev_r.max() / pos.min() if pos.size else 1e6
     t_max = min(max(t_max, 1.0), 1e6)
 
-    def fval(t: float) -> float:
+    def probe(t: float) -> tuple[bool, float]:
+        """Whether h(t) = Tr(P+ rho) meets the target, and the signed step
+        toward the root (see hypothesis_test_divergence)."""
         w, v = np.linalg.eigh(rho - t * sigma)
-        p = v[:, w > 0]
-        if not p.size:
-            return 0.0
-        return float(np.real(np.trace(p.conj().T @ rho @ p)))
+        j = int(np.searchsorted(w, 0.0, side="right"))  # w[j:] > 0 >= w[:j]
+        vh = v.conj().T
+        r, s = vh @ rho @ v, vh @ sigma @ v
+        h = float(np.real(np.trace(r[j:, j:])))
+        feasible = h >= target - 1e-15
+        side = 1.0 if feasible else -1.0
+        k = j if feasible else j - 1
+        step = abs(w[k]) / s[k, k].real if 0 <= k < w.size and s[k, k].real > 0 else math.inf
+        dh = -2.0 * float(np.sum(np.real(s[j:, :j] * r[j:, :j].conj()) / (w[j:, None] - w[:j])))
+        if dh < 0:
+            step = min(step, max(0.0, side * (target - h) / dh))
+        return feasible, side * step
 
     lo, hi = 0.0, t_max
-    if fval(hi) >= target - 1e-15:
+    feasible, step = probe(hi)
+    if feasible:
         # constraint still satisfiable at the cap; evaluating there keeps Q
         # feasible, so the result stays a valid bound
         lo = hi
     else:
+        # a step under half the stop width goes half the width past the
+        # iterate, closing the bracket from the far side; the first such step
+        # is exempt from the test that two steps halve the bracket
+        t, ref, since, was_close = hi, hi - lo, 0, False
         while hi - lo > 1e-12 * max(1.0, lo):
-            mid = 0.5 * (lo + hi)
-            if fval(mid) >= target - 1e-15:
-                lo = mid
+            half = 0.5e-12 * max(1.0, lo)
+            close = abs(step) < half
+            nt = t + (math.copysign(half, step) if close else step)
+            stalled = since >= 2 and hi - lo > 0.5 * ref and (was_close or not close)
+            was_close = close
+            if not lo < nt < hi or stalled:
+                nt, ref, since = 0.5 * (lo + hi), 0.5 * (hi - lo), 0
             else:
-                hi = mid
+                since += 1
+            t = nt
+            feasible, step = probe(t)
+            if feasible:
+                lo = t
+            else:
+                hi = t
     t = 0.5 * (lo + hi)
     band = max(1e-13, 10.0 * (hi - lo) * max(1.0, np.abs(ev_s).max()))
     w, v = np.linalg.eigh(rho - t * sigma)

@@ -74,9 +74,9 @@ def test_to_kraus_roundtrip_random():
 
 def test_apply_dual_paths_agree():
     rng = Rng(32)
-    for trial in range(20):
-        d = 2 + trial % 3
-        ch = chn.random_channel(rng.derive(trial), d, 1 + trial % d)
+    for trial in range(24):
+        d = 1 + trial % 4
+        ch = chn.random_channel(rng.derive(trial), d, 1 if trial % 8 < 4 else d * d)
         rho = random_state(rng.derive(500 + trial), d)
         via_k = chn.apply(ch, rho, via="kraus")
         via_j = chn.apply(ch, rho, via="jam")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from importlib import resources
 
 import numpy as np
@@ -354,6 +355,20 @@ def test_non_finite_tolerance_exits_2(capsys, command, value):
     assert out == ""
     assert f"argument --tol.psd: must be a finite number, got {value}" in err
 
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["coherence", fixture_path("hadamard_channel.json"), "--eps", "abc"],
+     "argument --eps: eps must be a number in [0, 1), got abc"),
+    (["sample", "--dim", "x"], "argument --dim: must be a positive integer, got x"),
+    (["sample", "--seed", "x"], "argument --seed: seed must be an integer in 0..2^64-1, got x"),
+], ids=["eps", "dim", "seed"])
+def test_non_number_flag_names_expected_value(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert re.search(r"\b_\w", err) is None  # no private function name
 
 def test_gap_tolerance_checks_the_duality_gap(capsys):
     # a gap target looser than feas is met by the certificate, not held to feas

@@ -153,6 +153,150 @@ def test_dh_lower_monotone_in_restarts():
         assert b >= a - 1e-12
 
 
+
+def ref_np_test_optimum(rho, sigma, eps):
+    """The bisection that coherence._np_test_optimum replaced, kept verbatim
+    as the reference for its safeguarded Newton search."""
+    if eps < 1e-15:
+        w, v = np.linalg.eigh(rho)
+        p = v[:, w > 1e-12]
+        return float(np.real(np.trace(p.conj().T @ sigma @ p)))
+    target = 1.0 - eps
+    ev_r = np.linalg.eigvalsh(rho)
+    ev_s = np.linalg.eigvalsh(sigma)
+    pos = ev_s[ev_s > 1e-14]
+    t_max = ev_r.max() / pos.min() if pos.size else 1e6
+    t_max = min(max(t_max, 1.0), 1e6)
+
+    def fval(t):
+        w, v = np.linalg.eigh(rho - t * sigma)
+        p = v[:, w > 0]
+        if not p.size:
+            return 0.0
+        return float(np.real(np.trace(p.conj().T @ rho @ p)))
+
+    lo, hi = 0.0, t_max
+    if fval(hi) >= target - 1e-15:
+        lo = hi
+    else:
+        while hi - lo > 1e-12 * max(1.0, lo):
+            mid = 0.5 * (lo + hi)
+            if fval(mid) >= target - 1e-15:
+                lo = mid
+            else:
+                hi = mid
+    t = 0.5 * (lo + hi)
+    band = max(1e-13, 10.0 * (hi - lo) * max(1.0, np.abs(ev_s).max()))
+    w, v = np.linalg.eigh(rho - t * sigma)
+    p = v[:, w > band]
+    bm = v[:, np.abs(w) <= band]
+    g = float(np.real(np.trace(p.conj().T @ rho @ p))) if p.size else 0.0
+    gb = float(np.real(np.trace(bm.conj().T @ rho @ bm))) if bm.size else 0.0
+    need = target - g
+    if need <= 1e-12:
+        x = 0.0
+    elif gb <= need:
+        x = 1.0
+    else:
+        x = need / gb
+    vs = float(np.real(np.trace(p.conj().T @ sigma @ p))) if p.size else 0.0
+    vb = float(np.real(np.trace(bm.conj().T @ sigma @ bm))) if bm.size else 0.0
+    return vs + x * vb
+
+
+def _low_rank_state(g, n, rank):
+    a = g.normal(size=(n, rank)) + 1j * g.normal(size=(n, rank))
+    m = a @ a.conj().T
+    return m / np.trace(m).real
+
+
+def _lifted_candidates(d, channels=4, restarts=8):
+    """(E (x) I) and (Delta E Delta (x) I) on the maximally entangled input and
+    Haar-random inputs, as dh_channel_divergence_lower forms them."""
+    rng = Rng(90 + d)
+    phi = (np.eye(d).reshape(-1) / np.sqrt(d)).astype(complex)
+    out = []
+    for c in range(channels):
+        rank = 1 + int(rng.derive(c).integers(0, d * d))
+        ch = chn.random_channel(rng.derive(100 + c), d, rank)
+        lifted = coh._Lifted([ch, chn.classical_version(ch)])
+        inputs = [phi] + [haar_vector(rng.derive(1000 * c + i), d * d) for i in range(restarts)]
+        out += [lifted.forward(psi) for psi in inputs]
+    return out
+
+
+def _parity_pairs():
+    g = np.random.default_rng(91)
+    for i in range(264):
+        n = int(g.integers(2, 17))
+        kind = i % 4
+        if kind == 0:  # commuting: h(t) is a step function
+            p, q = g.dirichlet(np.ones(n)), g.dirichlet(np.ones(n))
+            if i % 8 == 0:
+                p[: n // 2] = 0.0
+                p /= p.sum()
+            yield np.diag(p).astype(complex), np.diag(q).astype(complex)
+        elif kind == 1:
+            rho = _low_rank_state(g, n, n)
+            yield rho, rho.copy()
+        elif kind == 2:
+            yield _low_rank_state(g, n, 1), _low_rank_state(g, n, n)
+        else:
+            yield (_low_rank_state(g, n, max(1, n // 3)),
+                   _low_rank_state(g, n, int(g.integers(1, n + 1))))
+    for d in (2, 3, 4):
+        yield from _lifted_candidates(d, channels=2, restarts=5)
+
+
+def test_np_test_optimum_matches_bisection():
+    # eps >= 1e-6: for pure states the optimum has a square-root cusp at
+    # eps = 0, so the 1e-15 slack of the feasibility test moves it by up to
+    # about 1e-7 relative at eps near 1e-15, in the bisection as in Newton
+    epss = np.random.default_rng(92).uniform(1e-6, 0.95, size=400)
+    n = 0
+    for (rho, sigma), eps in zip(_parity_pairs(), epss):
+        ref = ref_np_test_optimum(rho, sigma, eps)
+        got = coh._np_test_optimum(rho, sigma, eps)
+        if ref <= coh.DH_VALUE_FLOOR:
+            assert got <= coh.DH_VALUE_FLOOR
+            assert math.isinf(coh._dh(rho, sigma, eps))
+        else:
+            assert abs(got - ref) <= 1e-10 * ref
+        n += 1
+    assert n == 300
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_np_test_optimum_eigensolve_count(monkeypatch, d):
+    eigh = np.linalg.eigh
+    calls = [0]
+
+    def counted(a):
+        calls[0] += 1
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    counts = []
+    for rho, sigma in _lifted_candidates(d):
+        calls[0] = 0
+        coh._np_test_optimum(rho, sigma, 0.1)
+        counts.append(calls[0])
+    assert np.median(counts) <= 12
+    assert max(counts) <= 60
+
+
+def fourier(d):
+    w = np.exp(2j * np.pi / d)
+    return np.array([[w ** (j * k) for k in range(d)] for j in range(d)]) / np.sqrt(d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dh_lower_saturates_at_fourier_gate(d):
+    f = chn.unitary_channel(fourier(d))
+    for eps in (0.0, 0.1, 0.5):
+        val = coh.dh_channel_divergence_lower(f, chn.classical_version(f), eps)
+        assert abs(val - math.log2(d * d / (1.0 - eps))) <= 1e-9
+
 def test_robustness_classical_is_zero():
     raw = Rng(79).uniform(size=(3, 3)) + 1e-3
     t = raw / raw.sum(axis=0, keepdims=True)
