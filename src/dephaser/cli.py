@@ -353,6 +353,9 @@ def main(argv=None) -> int:
         if args.out:  # written before the report, so a failed write prints no report
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(ser.dumps(results))
+        body = {"results": results}
+        if checks is not None:
+            body["checks"] = checks
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -360,15 +363,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ssc.InvalidCorrelationError as exc:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "config": _config_echo(args, tol, args.seed),
-            "error": ser.violation_to_json(exc.violation),
-            "wall_time_s": time.perf_counter() - start,
-        }
-        print(ser.dumps(report), end="")
-        return EXIT_SEMANTIC
+        wall = time.perf_counter() - start
+        body = {"error": ser.violation_to_json(exc.violation)}
+        code = EXIT_SEMANTIC
     except coh.SolverError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -380,11 +377,9 @@ def main(argv=None) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "config": _config_echo(args, tol, args.seed),
-        "results": results,
+        **body,
         "wall_time_s": wall,
     }
-    if checks is not None:
-        report["checks"] = checks
     print(ser.dumps(report), end="")
     return code
 

@@ -286,11 +286,7 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
         return RobustnessCertificate(0.0, None, transition_matrix(ch), 0.0)
     o = -off
     # constraints A x = 0 on x = (y, r): column sums of y equal r/d
-    a = np.zeros((d, n + 1))
-    for k in range(d):
-        for i in range(d):
-            a[k, i * d + k] = 1.0
-        a[k, n] = -1.0 / d
+    a = np.hstack([np.tile(np.eye(d), d), np.full((d, 1), -1.0 / d)])
     c0 = float(np.linalg.norm(o, 2)) + 1.0
     y = np.full(n, c0)
     r = n * c0

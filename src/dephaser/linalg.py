@@ -44,20 +44,6 @@ def assert_hermitian(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; index (i*rowsB + p, j*colsB + q) holds A_ij * B_pq."""
-    return np.kron(_as_complex(a), _as_complex(b))
-
-
-def schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise (Schur/Hadamard) product of two equally sized matrices."""
-    a = _as_complex(a)
-    b = _as_complex(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch for Schur product: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def _bipartite_view(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     da, db = int(shape[0]), int(shape[1])
     m = _as_complex(m)
@@ -109,12 +95,6 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = v @ diag(w) @ v^dag.
     """
     return np.linalg.eigh(assert_hermitian(m))
-
-
-def is_psd(m: np.ndarray, tol: float = TOL_PSD) -> bool:
-    """True iff the Hermitian matrix m has min eigenvalue >= -tol."""
-    w, _ = herm_eig(m)
-    return bool(w.min() >= -tol) if w.size else True
 
 
 def gram_vectors(c: np.ndarray) -> np.ndarray:

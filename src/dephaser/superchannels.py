@@ -20,11 +20,9 @@ from .linalg import (
     assert_hermitian,
     complete_isometry,
     gram_vectors,
-    kron,
     partial_trace,
     partial_transpose,
     reshuffle,
-    schur,
 )
 from .channels import Channel, DephasingChannelC, from_jam, from_kraus
 from .sampling import Rng, haar_unitary
@@ -51,7 +49,7 @@ class Violation:
     kind is one of NOT_PSD, DIAGONAL_NOT_ONE, BLOCKS_UNEQUAL; indices locates
     the first offending entry (lexicographic); defect quantifies it. witness,
     when present, is a channel whose Schur-product image violates trace
-    preservation by abs(defect) / d in max norm.
+    preservation by exactly defect in max norm (NOT_PSD has no witness).
     """
 
     kind: str
@@ -93,21 +91,9 @@ class MemoryClass:
     product_residual: float
 
 
-def _first_diagonal_violation(c: np.ndarray, d: int, tol: float) -> tuple[int, int] | None:
-    bad = np.flatnonzero(np.abs(np.diag(c) - 1.0) > tol)
-    return divmod(int(bad[0]), d) if bad.size else None
-
-
-def _first_block_violation(c: np.ndarray, d: int, tol: float) -> tuple[int, ...] | None:
-    # (i1, k, l) in lexicographic order where block i1 differs from block 0
-    blocks = np.einsum("ikil->ikl", c.reshape(d, d, d, d))
-    bad = np.argwhere(np.abs(blocks[1:] - blocks[0]) > tol)
-    return (0, int(bad[0, 0]) + 1, int(bad[0, 1]), int(bad[0, 2])) if bad.size else None
-
-
 def _tp_defect(ch: Channel, c: np.ndarray, d: int) -> float:
     """Max-norm deviation of Tr_1(J(E) o c) from 1/d for a witness channel."""
-    out = schur(ch.jam, c)
+    out = ch.jam * c
     return float(np.abs(partial_trace(out, (d, d), 1) - np.eye(d) / d).max())
 
 
@@ -117,12 +103,16 @@ def validate(c: np.ndarray, d: int, tol: float = TOL_PSD) -> DephasingSuperchann
     c = assert_hermitian(c)
     if c.shape != (d * d, d * d):
         raise ValueError(f"correlation shape {c.shape} does not match dim {d}")
-    idx = _first_diagonal_violation(c, d, tol)
-    if idx is not None:
+    bad = np.flatnonzero(np.abs(np.diag(c) - 1.0) > tol)
+    if bad.size:
+        idx = divmod(int(bad[0]), d)
         ch = _diagonal_witness(d, idx)
         return Violation(DIAGONAL_NOT_ONE, idx, _tp_defect(ch, c, d), ch)
-    idx = _first_block_violation(c, d, tol)
-    if idx is not None:
+    # (i1, k, l) in lexicographic order where block i1 differs from block 0
+    blocks = np.einsum("ikil->ikl", c.reshape(d, d, d, d))
+    bad = np.argwhere(np.abs(blocks[1:] - blocks[0]) > tol)
+    if bad.size:
+        idx = (0, int(bad[0, 0]) + 1, int(bad[0, 1]), int(bad[0, 2]))
         ch = _block_witness(d, idx)
         return Violation(BLOCKS_UNEQUAL, idx, _tp_defect(ch, c, d), ch)
     w, _ = np.linalg.eigh(c)  # checked Hermitian above
@@ -157,23 +147,6 @@ def _block_witness(d: int, idx: tuple[int, int, int, int]) -> Channel:
     return from_jam(jam / (d * d))
 
 
-def witness(c: np.ndarray, d: int, kind: str) -> Channel:
-    """A channel whose image under the Schur action of c breaks trace
-    preservation; the defect is quantified by the validate() report."""
-    c = assert_hermitian(c)
-    if kind == DIAGONAL_NOT_ONE:
-        idx = _first_diagonal_violation(c, d, 0.0)
-        if idx is None:
-            raise ValueError("diagonal is exactly one everywhere; no witness")
-        return _diagonal_witness(d, idx)
-    if kind == BLOCKS_UNEQUAL:
-        idx = _first_block_violation(c, d, 0.0)
-        if idx is None:
-            raise ValueError("diagonal blocks are exactly equal; no witness")
-        return _block_witness(d, idx)
-    raise ValueError(f"no trace-preservation witness for violation kind {kind!r}")
-
-
 def apply(sc: DephasingSuperchannel, ch: Channel, tol: float | None = None) -> Channel:
     """Xi[E]: Schur product on the Jamiolkowski matrix.
 
@@ -185,7 +158,7 @@ def apply(sc: DephasingSuperchannel, ch: Channel, tol: float | None = None) -> C
     """
     if sc.dim != ch.dim:
         raise ValueError(f"dim mismatch: superchannel {sc.dim}, channel {ch.dim}")
-    return Channel(dim=sc.dim, jam=schur(ch.jam, sc.c))
+    return Channel(dim=sc.dim, jam=ch.jam * sc.c)
 
 
 def super_jamiolkowski(sc: DephasingSuperchannel) -> np.ndarray:
@@ -207,7 +180,7 @@ def apply_via_super_jam(sc: DephasingSuperchannel, ch: Channel) -> Channel:
         raise ValueError(f"dim mismatch: superchannel {sc.dim}, channel {ch.dim}")
     d2 = sc.dim * sc.dim
     big = super_jamiolkowski(sc)
-    out = d2 * partial_trace(big @ kron(np.eye(d2), ch.jam.T), (d2, d2), 2)
+    out = d2 * partial_trace(big @ np.kron(np.eye(d2), ch.jam.T), (d2, d2), 2)
     return Channel(dim=sc.dim, jam=out)
 
 
@@ -282,7 +255,7 @@ def _nearest_product(c: np.ndarray, d: int) -> tuple[float, float]:
     b = np.sqrt(s[0]) * vh[0].reshape(d, d)
     # project the rank-1 factors onto actual correlation matrices: rescale so
     # both have unit diagonal, then Hermitize; for a true product this is exact
-    raw = kron(a, b)
+    raw = np.kron(a, b)
     tra = np.trace(a)
     trb = np.trace(b)
     if min(abs(tra), abs(trb)) < 1e-6:
@@ -293,7 +266,7 @@ def _nearest_product(c: np.ndarray, d: int) -> tuple[float, float]:
     b = (b + b.conj().T) / 2
     np.fill_diagonal(a, 1.0)
     np.fill_diagonal(b, 1.0)
-    return ratio, float(np.linalg.norm(c - kron(a, b)))
+    return ratio, float(np.linalg.norm(c - np.kron(a, b)))
 
 
 def memory_class(sc: DephasingSuperchannel, tol: float = TOL_PSD) -> MemoryClass:
@@ -334,7 +307,7 @@ def act_on_dephasing(sc: DephasingSuperchannel, dc: DephasingChannelC) -> Dephas
     unit diagonal as the product of two unit diagonals."""
     if sc.dim != dc.dim:
         raise ValueError(f"dim mismatch: superchannel {sc.dim}, channel {dc.dim}")
-    return DephasingChannelC(dim=dc.dim, c=schur(dc.c, tilde_c(sc).c))
+    return DephasingChannelC(dim=dc.dim, c=dc.c * tilde_c(sc).c)
 
 
 def pre_post(c1: DephasingChannelC, c2: DephasingChannelC) -> DephasingSuperchannel:
@@ -345,5 +318,5 @@ def pre_post(c1: DephasingChannelC, c2: DephasingChannelC) -> DephasingSuperchan
     C2[i,i] C1 = C1 is the same."""
     if c1.dim != c2.dim:
         raise ValueError(f"dim mismatch: {c1.dim} vs {c2.dim}")
-    return DephasingSuperchannel(dim=c1.dim, c=kron(c2.c, c1.c))
+    return DephasingSuperchannel(dim=c1.dim, c=np.kron(c2.c, c1.c))
 

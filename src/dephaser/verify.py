@@ -19,7 +19,7 @@ from . import channels as chn
 from . import coherence as coh
 from . import superchannels as ssc
 from . import fixtures as fx
-from .linalg import TOL_PSD, TOL_UNIT, herm_eig, is_psd, partial_transpose
+from .linalg import TOL_PSD, TOL_UNIT, herm_eig, partial_transpose
 from .sampling import Rng, random_state
 
 DEFAULT_TOLERANCES = {
@@ -67,13 +67,13 @@ def _random_stochastic(rng: Rng, d: int) -> np.ndarray:
     return t / t.sum(axis=0)
 
 
-def _c1_fixture_npt(cfg: VerifyConfig) -> CriterionResult:
+def _c1_fixture_npt_spectrum(cfg: VerifyConfig) -> CriterionResult:
     tol = cfg.tol["spectrum"]
     sc = fx.three_level_npt_superchannel()
     pt = partial_transpose(sc.c, (3, 3), 2)
     w, _ = herm_eig(pt)
     dev = abs(float(w.min()) - (1.0 - math.sqrt(2.0)))
-    psd_ok = is_psd(sc.c, cfg.tol["psd"])
+    psd_ok = bool(herm_eig(sc.c)[0][0] >= -cfg.tol["psd"])
     diag_dev = float(np.abs(np.diag(sc.c) - 1.0).max())
     passed = dev <= tol and psd_ok and diag_dev <= cfg.tol["psd"]
     return CriterionResult(1, "fixture-npt-spectrum", passed, dev, tol, {
@@ -199,7 +199,7 @@ def _c6_dephasing_closure(cfg: VerifyConfig) -> CriterionResult:
     })
 
 
-def _c7_monotonicity(cfg: VerifyConfig) -> CriterionResult:
+def _c7_cohering_monotonicity(cfg: VerifyConfig) -> CriterionResult:
     tol = cfg.tol["mono"]
     r2 = coh.monotonicity_suite(cfg.rng(7).derive(2), cfg.count(1000), 2, coh.L1, tol)
     r3 = coh.monotonicity_suite(cfg.rng(7).derive(3), cfg.count(200), 3, coh.L1, tol)
@@ -386,13 +386,13 @@ def _lp_oracle_diag(p: np.ndarray, q: np.ndarray, eps: float) -> float:
 
 
 CRITERIA = [
-    _c1_fixture_npt,
+    _c1_fixture_npt_spectrum,
     _c2_qubit_ppt,
     _c3_hadamard_steering,
     _c4_transition_invariance,
     _c5_realization_roundtrip,
     _c6_dephasing_closure,
-    _c7_monotonicity,
+    _c7_cohering_monotonicity,
     _c8_classical_invariance,
     _c9_robustness_sdp,
     _c10_bound_chain,

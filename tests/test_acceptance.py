@@ -72,3 +72,22 @@ def test_criterion_11_hypothesis_test(results):
 
 def test_criterion_12_dual_paths(results):
     check(results, 12)
+
+
+def test_raising_criterion_keeps_its_name(monkeypatch):
+    # a criterion that raises is reported under its function name, which
+    # must match the name the criterion reports when it returns
+    names = [r.name for r in verify.run_all(seed=0, trials=1)]
+
+    def raising(fn):
+        def stub(cfg):
+            raise RuntimeError("forced")
+        stub.__name__ = fn.__name__
+        return stub
+
+    monkeypatch.setattr(verify, "CRITERIA", [raising(fn) for fn in verify.CRITERIA])
+    rows = verify.run_all(seed=0, trials=1)
+    assert [r.name for r in rows] == names
+    for r in rows:
+        assert r.passed is False
+        assert r.detail["error"] == "RuntimeError: forced"

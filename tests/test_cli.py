@@ -227,6 +227,31 @@ def test_realize_invalid_superchannel(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "NOT_PSD"
 
 
+REPORT_KEYS = {"schema_version", "command", "config", "wall_time_s"}
+
+
+def test_report_shapes(tmp_path, capsys):
+    # one report layout for every outcome: an invalid correlation matrix
+    # reports "error" where a success reports "results", plus "checks" when
+    # the command has checks
+    c = np.eye(4)
+    c[0, 3] = c[3, 0] = 2.0
+    c[1, 2] = c[2, 1] = 2.0
+    target = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, "realize", write_superchannel(tmp_path, c, 2), "--out", str(target))
+    assert code == 3
+    assert set(parse_report(out)) == REPORT_KEYS | {"error"}
+    assert not target.exists()
+    sc_path = write_superchannel(tmp_path, np.ones((4, 4)), 2, name="ones.json")
+    ch_path = write_channel(tmp_path, chn.identity_channel(2))
+    code, out, _ = run_cli(capsys, "apply", sc_path, ch_path)
+    assert code == 0
+    assert set(parse_report(out)) == REPORT_KEYS | {"results"}
+    code, out, _ = run_cli(capsys, "classify", sc_path)
+    assert code == 0
+    assert set(parse_report(out)) == REPORT_KEYS | {"results", "checks"}
+
+
 def test_coherence_classical_channel(tmp_path, capsys):
     t = np.array([[0.7, 0.2], [0.3, 0.8]])
     ch_path = write_channel(tmp_path, chn.classical_channel(t))

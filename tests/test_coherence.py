@@ -7,7 +7,6 @@ import pytest
 from dephaser import channels as chn
 from dephaser import coherence as coh
 from dephaser import superchannels as sup
-from dephaser.linalg import kron
 from dephaser.sampling import Rng, haar_vector, random_state
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -460,7 +459,7 @@ def test_monotonicity_suite_rel_ent():
 
 def _kron_lifted(ch):
     """Reference lifting: the Kraus operators K (x) I of E (x) I."""
-    return [kron(k, np.eye(ch.dim)) for k in chn.to_kraus(ch)]
+    return [np.kron(k, np.eye(ch.dim)) for k in chn.to_kraus(ch)]
 
 
 @pytest.mark.parametrize("d,rank", sorted({(d, r) for d in (1, 2, 3, 4) for r in (1, d * d)}))

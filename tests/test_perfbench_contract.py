@@ -4,18 +4,24 @@ perfbench/ drives the package through its public API (function names,
 positional arguments, JSON formats, CLI exit codes and error texts). This
 builds the `verify-quick`, `pipeline` and `cli` workloads against the package
 under test and runs their set-up and checker self-tests, so an API break
-fails here instead of in a benchmark run. Nothing under perfbench/ is modified.
+fails here instead of in a benchmark run. It also checks that every function
+a per-layer metric of BENCHMARK.json names still exists. Nothing under
+perfbench/ is modified.
 """
 
 import importlib
 import importlib.util
+import inspect
+import json
+import re
 from pathlib import Path
 
 import pytest
 
 import dephaser
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -33,3 +39,19 @@ def test_workload_setup_and_selftest(tmp_path, workload):
     wl = getattr(_load("workloads"), workload)(mods, 3, str(tmp_path / "work"))
     wl.setup()
     assert wl.selftest() == []
+
+
+def test_per_layer_metrics_name_public_functions():
+    # a per-layer metric on a deleted or renamed function would read 0
+    # instead of failing, so every function a metric names must exist
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    pattern = re.compile(r"(linalg|channels|superchannels|coherence)\.(\w+)\."
+                         r"(s|calls|iters|rejected|per_item|d\d+\.us)")
+    matches = [pattern.fullmatch(metric["name"]) for metric in metrics]
+    named = [match.group(1, 2) for match in matches if match]
+    assert len(named) >= 20
+    for layer, func in named:
+        mod = importlib.import_module(f"dephaser.{layer}")
+        fn = getattr(mod, func, None)
+        assert not func.startswith("_") and inspect.isfunction(fn), f"{layer}.{func}"
+        assert fn.__module__ == mod.__name__, f"{layer}.{func}"

@@ -5,7 +5,7 @@ from dephaser import channels as chn
 from dephaser import superchannels as sup
 from dephaser.fixtures import (hadamard_channel, qubit_sign_flip_superchannel,
                                three_level_npt_superchannel)
-from dephaser.linalg import kron, partial_trace, partial_transpose, schur
+from dephaser.linalg import partial_trace, partial_transpose
 from dephaser.sampling import Rng, haar_unitary, random_state
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -72,26 +72,28 @@ def test_superchannel_raises_with_violation():
     assert err.value.violation.kind == sup.BLOCKS_UNEQUAL
 
 
-def test_witness_breaks_trace_preservation():
-    c = np.ones((4, 4), dtype=complex)
-    c[1, 1] = 0.5
-    ch = sup.witness(c, 2, sup.DIAGONAL_NOT_ONE)
-    out = schur(ch.jam, c)
-    defect = np.abs(partial_trace(out, (2, 2), 1) - np.eye(2) / 2).max()
-    assert defect > 0.2
-    ch2 = sup.witness(unequal_blocks_matrix(), 2, sup.BLOCKS_UNEQUAL)
-    out2 = schur(ch2.jam, unequal_blocks_matrix())
-    defect2 = np.abs(partial_trace(out2, (2, 2), 1) - np.eye(2) / 2).max()
-    assert defect2 > 0.2
+def violating_matrix(d, kind):
+    # all-ones (a valid superchannel) with one entry moved off it: a diagonal
+    # entry, or an off-diagonal entry inside diagonal block 1
+    c = np.ones((d * d, d * d), dtype=complex)
+    if kind == sup.DIAGONAL_NOT_ONE:
+        c[1, 1] = 0.5
+    else:
+        c[d, d + 1] = c[d + 1, d] = 0.5
+    return c
 
 
-def test_witness_on_valid_matrix_raises():
-    with pytest.raises(ValueError):
-        sup.witness(np.ones((4, 4)), 2, sup.DIAGONAL_NOT_ONE)
-    with pytest.raises(ValueError):
-        sup.witness(np.ones((4, 4)), 2, sup.BLOCKS_UNEQUAL)
-    with pytest.raises(ValueError):
-        sup.witness(np.ones((4, 4)), 2, sup.NOT_PSD)
+@pytest.mark.parametrize("kind", [sup.DIAGONAL_NOT_ONE, sup.BLOCKS_UNEQUAL])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_witness_breaks_trace_preservation(d, kind):
+    c = violating_matrix(d, kind)
+    out = sup.validate(c, d)
+    assert isinstance(out, sup.Violation) and out.kind == kind
+    chn.check_channel(out.witness)
+    image = out.witness.jam * c
+    deviation = np.abs(partial_trace(image, (d, d), 1) - np.eye(d) / d).max()
+    assert out.defect > 0
+    assert abs(deviation - out.defect) <= 1e-15
 
 
 def test_apply_all_ones_is_identity():
@@ -144,7 +146,7 @@ def test_superchannels_compose_by_schur():
         s2 = sup.sample(rng.derive(100 + trial), d)
         ch = chn.random_channel(rng.derive(500 + trial), d, 2)
         lhs = sup.apply(s2, sup.apply(s1, ch))
-        combined = sup.superchannel(schur(s1.c, s2.c), d)
+        combined = sup.superchannel(s1.c * s2.c, d)
         rhs = sup.apply(combined, ch)
         assert np.abs(lhs.jam - rhs.jam).max() < 1e-12
 
@@ -331,7 +333,7 @@ def test_pre_post_limits():
     sc = sup.pre_post(ones, ones)
     assert np.abs(sc.c - 1.0).max() < 1e-14
     sc2 = sup.pre_post(ones, eye)
-    assert np.abs(sc2.c - kron(np.eye(2), np.ones((2, 2)))).max() < 1e-14
+    assert np.abs(sc2.c - np.kron(np.eye(2), np.ones((2, 2)))).max() < 1e-14
 
 
 def test_pre_post_matches_composition():
