@@ -39,6 +39,7 @@ EXIT_SEMANTIC = 3
 EXIT_SOLVER = 4
 
 SEED_MAX = 2**64 - 1
+RESTARTS_MAX = 1024  # the seesaw holds O(restarts * M * d^4) complex entries at once
 
 # The tolerances each subcommand reads: its parser accepts --tol.NAME for
 # these names only, and its report echoes exactly these.
@@ -66,6 +67,13 @@ def _positive_int(text: str) -> int:
     value = _number(int, text)
     if value is None or value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _restarts(text: str) -> int:
+    value = _number(int, text)
+    if value is None or not 1 <= value <= RESTARTS_MAX:
+        raise argparse.ArgumentTypeError(f"must be an integer in 1..{RESTARTS_MAX}, got {text}")
     return value
 
 
@@ -133,13 +141,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel", type=str)
     p.add_argument("--eps", type=_eps_value, action="append", default=None,
                    help="type-I error(s) for the divergence bound (repeatable; default 0 and 0.1)")
-    p.add_argument("--restarts", type=_positive_int, default=8)
+    p.add_argument("--restarts", type=_restarts, default=8)
 
     p = command("distinguish", "seesaw discrimination of superchannels on a gate")
     p.add_argument("gate", type=str)
     p.add_argument("superchannels", type=str, nargs="+",
                    help="two or more superchannel JSON files")
-    p.add_argument("--restarts", type=_positive_int, default=32)
+    p.add_argument("--restarts", type=_restarts, default=32)
 
     p = command("verify", "run the acceptance criteria suite")
     p.add_argument("--trials", type=_positive_int, default=None,

@@ -197,11 +197,13 @@ def _np_test_optimum(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
 
 class _Lifted:
     """E_m (x) I for channels E_1..E_M of one dim d, system first in the
-    row-major vec (identities in discrimination_seesaw). forward(psi) stacks
-    the M outputs on |psi><psi|; dual(bs) = sum_m (E_m (x) I)^dag(bs[m]) is
-    one matmul of the stacked W_m^T, W_m = sum_k conj(K_k) (x) K_k, on bs
-    regrouped [a,i,b,j] -> [(a,b),(i,j)]. Kraus lists are zero-padded to one
-    rank, which adds only zero terms."""
+    row-major vec (identities in discrimination_seesaw), on stacks of k
+    inputs. forward(psis) maps (k, d^2) pure inputs to the (k, M, d^2, d^2)
+    outputs on |psi><psi|; dual(bs) maps (k, M, d^2, d^2) to the (k, d^2, d^2)
+    sums sum_m (E_m (x) I)^dag(bs[:, m]), one matmul per input of the stacked
+    W_m^T, W_m = sum_k conj(K_k) (x) K_k, on bs regrouped [a,i,b,j] ->
+    [(a,b),(i,j)]. Each slice is the arithmetic of a lone input, bit for bit.
+    Kraus lists are zero-padded to one rank, which adds only zero terms."""
 
     def __init__(self, chs):
         kss = [to_kraus(ch) for ch in chs]
@@ -210,16 +212,18 @@ class _Lifted:
         w = np.einsum("mkaA,mkbB->ABmab", self.ks.conj(), self.ks)
         self.dual_matrix = w.reshape(d * d, -1)
 
-    def forward(self, psi: np.ndarray) -> np.ndarray:
+    def forward(self, psis: np.ndarray) -> np.ndarray:
         m, r, d, _ = self.ks.shape
-        a = (self.ks @ psi.reshape(d, d)).reshape(m, r, d * d)
-        return a.transpose(0, 2, 1) @ a.conj()
+        k = len(psis)
+        a = (self.ks @ psis.reshape(k, 1, 1, d, d)).reshape(k, m, r, d * d)
+        return a.transpose(0, 1, 3, 2) @ a.conj()
 
     def dual(self, bs: np.ndarray) -> np.ndarray:
         d = self.ks.shape[-1]
-        bp = bs.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d)
-        g = (self.dual_matrix @ bp).reshape(d, d, d, d)
-        return g.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        k = len(bs)
+        bp = bs.reshape(k, -1, d, d, d, d).transpose(0, 1, 2, 4, 3, 5).reshape(k, -1, d * d)
+        g = (self.dual_matrix @ bp).reshape(k, d, d, d, d)
+        return g.transpose(0, 1, 3, 2, 4).reshape(k, d * d, d * d)
 
 
 def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
@@ -236,14 +240,16 @@ def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
     if e1.dim != e2.dim:
         raise ValueError("channels must have equal dims")
     _check_eps(eps)
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     rng = Rng(0) if rng is None else rng
     d = e1.dim
     lifted = _Lifted([e1, e2])
     phi = (np.eye(d).reshape(-1) / np.sqrt(d)).astype(complex)
-    candidates = [phi] + [haar_vector(rng.derive(i), d * d) for i in range(1, restarts + 1)]
+    psis = np.array([phi] + [haar_vector(rng.derive(i), d * d) for i in range(1, restarts + 1)])
     best = 0.0
-    for psi in candidates:
-        best = max(best, _dh(*lifted.forward(psi), eps))
+    for rho, sigma in lifted.forward(psis):
+        best = max(best, _dh(rho, sigma, eps))
         if math.isinf(best):
             break
     return best
@@ -275,7 +281,10 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
     sums y_{0k} + ... + y_{(d-1)k} = r/d and minimized via r = Tr(Y). Solved
     by a log-det barrier with Newton steps on the equality-constrained
     problem (at most MAX_NEWTON steps per round); barrier parameter grows by
-    decades until the gap d^2/t is below gap_tol. Feasibility of the
+    decades until the gap d^2/t is below gap_tol. The KKT matrix is built
+    once per call, and each step rewrites only its Hessian block and the
+    gradient; the barrier value of an accepted line-search point is carried
+    over as the next step's starting value within one t. Feasibility of the
     certificate is re-verified before returning.
     """
     d = ch.dim
@@ -301,16 +310,18 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
         _sign, logdet = np.linalg.slogdet(m)
         return rv - logdet.real / tv
 
+    # KKT [[H, A^T], [A, 0]] [dx; nu] = [-grad; 0]: a step rewrites H's y block and grad
+    kkt = np.block([[np.zeros((n + 1, n + 1)), a.T], [a, np.zeros((d, d))]])
+    rhs = np.zeros(n + 1 + d)
+    f0 = None  # barrier at (y, r, t), once a line search has evaluated it
     while True:
         converged = False
         for _ in range(MAX_NEWTON):
             ym = np.diag(y).astype(complex) + o
             yi = np.linalg.inv(ym)
             grad = np.concatenate([-np.real(np.diag(yi)), [t]])
-            h = np.zeros((n + 1, n + 1))
-            h[:n, :n] = np.abs(yi) ** 2
-            kkt = np.block([[h, a.T], [a, np.zeros((d, d))]])
-            rhs = np.concatenate([-grad, np.zeros(d)])
+            kkt[:n, :n] = np.abs(yi) ** 2
+            rhs[: n + 1] = -grad
             dx = np.linalg.solve(kkt, rhs)[: n + 1]
             decrement = float(-grad @ dx) / 2.0
             if decrement <= 1e-11:
@@ -325,14 +336,19 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
                     if np.linalg.eigvalsh(m)[0] > 0:
                         break
                     s *= 0.5
+                f0 = None
             else:
-                f0 = barrier(y, r, t)
+                if f0 is None:
+                    f0 = barrier(y, r, t)
                 slope = float(grad @ dx) / t
                 s = 1.0
                 while s > 1e-14:
-                    if barrier(y + s * dx[:n], r + s * dx[n], t) <= f0 + 0.25 * s * slope:
+                    f = barrier(y + s * dx[:n], r + s * dx[n], t)
+                    if f <= f0 + 0.25 * s * slope:
                         break
                     s *= 0.5
+                # the accepted trial point is the next iterate, bit for bit
+                f0 = f if s > 1e-14 else None
             step = s * dx
             y = y + step[:n]
             r = r + step[n]
@@ -348,6 +364,7 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
         if n / t <= gap_tol:
             break
         t *= 10.0
+        f0 = None
     gap = n / t
     ym = np.diag(y).astype(complex) + o
     value = float(r)
@@ -506,17 +523,15 @@ class DiscriminationInstance:
 
 
 def _povm_candidate(taus: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Helstrom (m = 2) or pretty-good (m > 2) POVM per (M, n, n) slice, from one batched eigh."""
+    w, v = np.linalg.eigh(taus[:, 0] - taus[:, 1] if m == 2 else taus.sum(axis=1) / m)
     if m == 2:
-        w, v = np.linalg.eigh(taus[0] - taus[1])
-        pos = v[:, w > 0]
-        b1 = pos @ pos.conj().T if pos.size else np.zeros((n, n), dtype=complex)
-        return np.stack([b1, np.eye(n) - b1])
-    w, v = np.linalg.eigh(taus.sum(axis=0) / m)
+        b1 = np.stack([pos @ pos.conj().T for pos in (vi[:, wi > 0] for wi, vi in zip(w, v))])
+        return np.stack([b1, np.eye(n) - b1], axis=1)
     winv = np.where(w > 1e-12, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-    si = (v * winv) @ v.conj().T
-    supp = v[:, w > 1e-12]
-    pker = np.eye(n) - supp @ supp.conj().T
-    return si @ (taus / m) @ si + pker / m
+    si = (v * winv[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    pker = np.stack([np.eye(n) - s @ s.conj().T for s in (vi[:, wi > 1e-12] for wi, vi in zip(w, v))])
+    return si[:, None] @ (taus / m) @ si[:, None] + pker[:, None] / m
 
 
 def _strategy_value(povm: np.ndarray, taus: np.ndarray, m: int) -> float:
@@ -534,6 +549,12 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     eigenvector of the effective observable. Every reported value is the
     evaluated success probability of an explicit strategy.
 
+    All restarts advance as one stack, each leaving it at its own stop test;
+    each restart's arithmetic is its own, bit for bit as if it ran alone. The
+    reported strategy is the lowest-index restart with the strictly largest
+    value; the baseline (maximally entangled input, uniform POVM) stays when
+    no restart beats it.
+
     The outputs E_m = Xi_m[gate] act as E_m (x) I (_Lifted) by two identities:
     (E (x) I)(|psi><psi|) = sum_k vec(K_k Psi) vec(K_k Psi)^dag for psi = vec(Psi),
     and the dual sum_k (K_k (x) I)^dag B (K_k (x) I) acts on B's system indices
@@ -543,6 +564,8 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     m = len(scs)
     if m < 2:
         raise ValueError("need at least two superchannels")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     rng = Rng(0) if rng is None else rng
     d = gate.dim
     if any(sc.dim != d for sc in scs):
@@ -552,34 +575,37 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     phi = (np.eye(d).reshape(-1) / np.sqrt(d)).astype(complex)
     uniform = np.stack([np.eye(n, dtype=complex) / m] * m)
     best_psi, best_povm = phi, uniform
-    best_val = _strategy_value(uniform, lifted.forward(phi), m)
-    logs: list[dict] = []
-    for rs in range(restarts):
-        psi = phi.copy() if rs == 0 else haar_vector(rng.derive(rs), n)
-        povm = cur_povm = uniform
-        taus = lifted.forward(psi)
-        cur, cur_psi = _strategy_value(povm, taus, m), psi
-        logs.append({"restart": rs, "iter": 0, "objective": cur})
-        for it in range(1, SEESAW_ITERS + 1):
-            cand = _povm_candidate(taus, m, n)
-            cand_val = _strategy_value(cand, taus, m)
-            if cand_val > cur:
-                povm = cur_povm = cand
-                cur, cur_psi = cand_val, psi
-            w, v = np.linalg.eigh(lifted.dual(povm) / m)
-            if w[-1] > cur + 1e-15:
-                psi = v[:, -1]
-                taus = lifted.forward(psi)
-                cur = _strategy_value(povm, taus, m)
-                cur_psi = psi
-            logs.append({"restart": rs, "iter": it, "objective": cur})
-            if it > 2 and logs[-1]["objective"] - logs[-3]["objective"] < 1e-13:
-                break
-        if cur > best_val:
-            best_val, best_psi, best_povm = cur, cur_psi, cur_povm
-    p = _strategy_value(best_povm, lifted.forward(best_psi), m)
+    best_val = _strategy_value(uniform, lifted.forward(phi[None])[0], m)
+    psi = np.array([phi] + [haar_vector(rng.derive(rs), n) for rs in range(1, restarts)])[:restarts]
+    taus = lifted.forward(psi)
+    povm = np.repeat(uniform[None], restarts, axis=0)
+    cur = [_strategy_value(uniform, t, m) for t in taus]
+    logs = [[{"restart": rs, "iter": 0, "objective": c}] for rs, c in enumerate(cur)]
+    active = list(range(restarts))
+    for it in range(1, SEESAW_ITERS + 1):
+        if not active:
+            break
+        for i, cand in zip(active, _povm_candidate(taus[active], m, n)):
+            cand_val = _strategy_value(cand, taus[i], m)
+            if cand_val > cur[i]:
+                povm[i], cur[i] = cand, cand_val
+        w, v = np.linalg.eigh(lifted.dual(povm[active]) / m)
+        up = [j for j, i in enumerate(active) if w[j, -1] > cur[i] + 1e-15]
+        moved = [active[j] for j in up]
+        psi[moved] = v[up, :, -1]
+        taus[moved] = lifted.forward(psi[moved])
+        for i in moved:
+            cur[i] = _strategy_value(povm[i], taus[i], m)
+        for i in active:
+            logs[i].append({"restart": i, "iter": it, "objective": cur[i]})
+        active = [i for i in active
+                  if not (it > 2 and logs[i][-1]["objective"] - logs[i][-3]["objective"] < 1e-13)]
+    for i in range(restarts):
+        if cur[i] > best_val:
+            best_val, best_psi, best_povm = cur[i], psi[i], povm[i]
+    p = _strategy_value(best_povm, lifted.forward(best_psi[None])[0], m)
     return DiscriminationInstance(gate, scs, np.outer(best_psi, best_psi.conj()),
-                                  tuple(best_povm), p, tuple(logs))
+                                  tuple(best_povm), p, tuple(rec for log in logs for rec in log))
 
 
 def robustness_bound_check(inst: DiscriminationInstance, cert: RobustnessCertificate,

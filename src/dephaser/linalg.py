@@ -121,9 +121,9 @@ def _residual(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     return w
 
 
-def _orthonormalize(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    # projected twice for numerical stability
-    w = _residual(_residual(vec, basis), basis)
+def _orthonormalize(first: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    # projected twice for numerical stability; first = _residual(vec, basis)
+    w = _residual(first, basis)
     return w / np.linalg.norm(w)
 
 
@@ -133,9 +133,10 @@ def complete_isometry(partial_map: Sequence[tuple[np.ndarray, np.ndarray]]) -> n
     Such a W exists iff the two collections share a Gram matrix; a mismatch
     beyond GRAM_TOL raises. The construction is deterministic: pivoted
     orthogonalization with the same pivot order on both collections (largest
-    residual norm first, stop below PIVOT_TOL), then the orthogonal
-    complement is filled by orthogonalizing standard basis vectors in index
-    order on each side independently. W is n x n for vectors of length n.
+    residual norm first, stop below PIVOT_TOL; source residuals carry over
+    between pivot rounds), then the orthogonal complement is filled by
+    orthogonalizing standard basis vectors in index order on each side
+    independently. W is n x n for vectors of length n.
     """
     sources = [np.asarray(s, dtype=complex).reshape(-1) for s, _ in partial_map]
     targets = [np.asarray(t, dtype=complex).reshape(-1) for _, t in partial_map]
@@ -156,14 +157,18 @@ def complete_isometry(partial_map: Sequence[tuple[np.ndarray, np.ndarray]]) -> n
     basis_s: list[np.ndarray] = []
     basis_t: list[np.ndarray] = []
     remaining = list(range(len(sources)))
+    res = dict(enumerate(sources))  # residual of each remaining source
     while remaining:
-        norms = [np.linalg.norm(_residual(sources[j], basis_s)) for j in remaining]
+        norms = [np.linalg.norm(res[j]) for j in remaining]
         best = int(np.argmax(norms))
         if norms[best] <= PIVOT_TOL:
             break
         j = remaining.pop(best)
-        basis_s.append(_orthonormalize(sources[j], basis_s))
-        basis_t.append(_orthonormalize(targets[j], basis_t))
+        basis_s.append(_orthonormalize(res.pop(j), basis_s))
+        basis_t.append(_orthonormalize(_residual(targets[j], basis_t), basis_t))
+        b, bc = basis_s[-1], basis_s[-1].conj()
+        for i in remaining:
+            res[i] = res[i] - b * (bc @ res[i])
 
     for basis in (basis_s, basis_t):
         for j in range(n):
@@ -171,8 +176,9 @@ def complete_isometry(partial_map: Sequence[tuple[np.ndarray, np.ndarray]]) -> n
                 break
             e = np.zeros(n, dtype=complex)
             e[j] = 1.0
-            if np.linalg.norm(_residual(e, basis)) > PIVOT_TOL:
-                basis.append(_orthonormalize(e, basis))
+            first = _residual(e, basis)
+            if np.linalg.norm(first) > PIVOT_TOL:
+                basis.append(_orthonormalize(first, basis))
 
     b_s = np.stack(basis_s, axis=1)
     b_t = np.stack(basis_t, axis=1)

@@ -252,6 +252,56 @@ def test_report_shapes(tmp_path, capsys):
     assert set(parse_report(out)) == REPORT_KEYS | {"results", "checks"}
 
 
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("solver reached")
+
+
+def test_distinguish_invalid_superchannel_reports_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(coh, "discrimination_seesaw", _unreachable)
+    c = np.eye(4)
+    c[0, 3] = c[3, 0] = 2.0
+    c[1, 2] = c[2, 1] = 2.0
+    good = write_superchannel(tmp_path, np.ones((4, 4)), 2, name="good.json")
+    bad = write_superchannel(tmp_path, c, 2, name="not_psd.json")
+    code, out, _ = run_cli(capsys, "distinguish", fixture_path("hadamard_channel.json"), good, bad)
+    assert code == 3
+    report = parse_report(out)
+    assert set(report) == REPORT_KEYS | {"error"}
+    assert report["error"]["kind"] == "NOT_PSD"
+
+
+@pytest.mark.parametrize("command", ["coherence", "distinguish"])
+@pytest.mark.parametrize("value", ["0", "1025", str(10**12)])
+def test_restarts_flag_is_bounded(tmp_path, capsys, monkeypatch, command, value):
+    # rejected while parsing, so nothing is allocated at the bad size
+    monkeypatch.setattr(coh, "dh_channel_divergence_lower", _unreachable)
+    monkeypatch.setattr(coh, "discrimination_seesaw", _unreachable)
+    monkeypatch.setattr(coh, "robustness", _unreachable)
+    had = fixture_path("hadamard_channel.json")
+    inputs = [had] if command == "coherence" else [had, fixture_path("corr2_sign_flip.json"),
+                                                   fixture_path("corr2_sign_flip.json")]
+    code, out, err = run_cli(capsys, command, *inputs, "--restarts", value)
+    assert code == 2
+    assert out == ""
+    assert f"argument --restarts: must be an integer in 1..{cli.RESTARTS_MAX}, got {value}" in err
+    assert cli.RESTARTS_MAX == 1024
+
+
+def test_restarts_flag_accepts_the_cap(capsys, monkeypatch):
+    seen = []
+
+    def stop(gate, scs, restarts, rng):
+        seen.append(restarts)
+        raise coh.SolverError("stopped before the solve")
+
+    monkeypatch.setattr(coh, "discrimination_seesaw", stop)
+    sign_flip = fixture_path("corr2_sign_flip.json")
+    code, _, _ = run_cli(capsys, "distinguish", fixture_path("hadamard_channel.json"),
+                         sign_flip, sign_flip, "--restarts", "1024")
+    assert code == 4
+    assert seen == [1024]
+
 def test_coherence_classical_channel(tmp_path, capsys):
     t = np.array([[0.7, 0.2], [0.3, 0.8]])
     ch_path = write_channel(tmp_path, chn.classical_channel(t))

@@ -220,7 +220,7 @@ def _lifted_candidates(d, channels=4, restarts=8):
         ch = chn.random_channel(rng.derive(100 + c), d, rank)
         lifted = coh._Lifted([ch, chn.classical_version(ch)])
         inputs = [phi] + [haar_vector(rng.derive(1000 * c + i), d * d) for i in range(restarts)]
-        out += [lifted.forward(psi) for psi in inputs]
+        out += [lifted.forward(psi[None])[0] for psi in inputs]
     return out
 
 
@@ -387,6 +387,52 @@ def test_seesaw_classical_gate_is_blind():
     scs = [sup.sample(rng.derive(k), 2) for k in range(3)]
     inst = coh.discrimination_seesaw(gate, scs, restarts=4, rng=Rng(6))
     assert abs(inst.p_succ - 1.0 / 3.0) < 1e-9
+    # tie rule: the lowest-index restart with the strictly largest value wins;
+    # here restart 3 ends 1.4e-15 above the baseline in roundoff
+    finals = {rec["restart"]: rec["objective"] for rec in inst.iteration_log}
+    assert inst.p_succ == max(finals.values()) == finals[3] > 1.0 / 3.0
+    # no restart beats the baseline (phi with the uniform POVM): it stays
+    phi = (np.eye(2).reshape(-1) / np.sqrt(2)).astype(complex)
+    for restarts in (0, 1):
+        inst = coh.discrimination_seesaw(gate, scs, restarts=restarts, rng=Rng(6))
+        assert np.array_equal(inst.input_state, np.outer(phi, phi.conj()))
+        assert all(np.array_equal(e, np.eye(4) / 3) for e in inst.povm)
+        assert len(inst.iteration_log) == 4 * restarts
+
+
+@pytest.mark.parametrize("restarts", [8, 32])
+def test_seesaw_restarts_share_eigensolves(monkeypatch, restarts):
+    # all restarts advance as one stack: two batched eigh calls per iteration
+    # (POVM candidate, input step), not two per restart and iteration
+    rng = Rng(87)
+    gate = chn.random_channel(rng.derive(0), 3, 2)
+    scs = [sup.sample(rng.derive(1 + k), 3) for k in range(2)]
+    eigh = np.linalg.eigh
+    calls = [0]
+
+    def counted(a):
+        calls[0] += 1
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    inst = coh.discrimination_seesaw(gate, scs, restarts=restarts, rng=Rng(9))
+    assert {rec["restart"] for rec in inst.iteration_log} == set(range(restarts))
+    assert calls[0] <= 2 * coh.SEESAW_ITERS + 1
+
+
+def test_negative_restarts_rejected():
+    gate = chn.random_channel(Rng(88), 2, 2)
+    scs = [sup.sample(Rng(89).derive(k), 2) for k in range(2)]
+    with pytest.raises(ValueError, match="restarts"):
+        coh.discrimination_seesaw(gate, scs, restarts=-1)
+    with pytest.raises(ValueError, match="restarts"):
+        coh.dh_channel_divergence_lower(gate, chn.classical_version(gate), 0.1, restarts=-1)
+    # restarts = 0 leaves only the maximally entangled candidate
+    phi = (np.eye(2).reshape(-1) / np.sqrt(2)).astype(complex)
+    lifted = coh._Lifted([gate, chn.classical_version(gate)])
+    rho, sigma = lifted.forward(phi[None])[0]
+    assert coh.dh_channel_divergence_lower(gate, chn.classical_version(gate), 0.1, restarts=0) \
+        == coh._dh(rho, sigma, 0.1)
 
 
 def test_seesaw_log_monotone_and_feasible():
@@ -473,17 +519,17 @@ def test_lifted_kernel_matches_kron_reference(d, rank):
     rho = np.outer(psi, psi.conj())
     g = rng.derive(4).complex_normal((2, d * d, d * d))
     bs = g + g.conj().transpose(0, 2, 1)
-    outs = lifted.forward(psi)
+    outs = lifted.forward(psi[None])[0]
     for out, ch in zip(outs, chs):
         ref = sum(k @ rho @ k.conj().T for k in _kron_lifted(ch))
         assert np.abs(out - ref).max() <= 1e-12
     ref_dual = sum(sum(k.conj().T @ b @ k for k in _kron_lifted(ch)) for b, ch in zip(bs, chs))
-    assert np.abs(lifted.dual(bs) - ref_dual).max() <= 1e-12
+    assert np.abs(lifted.dual(bs[None])[0] - ref_dual).max() <= 1e-12
     # dual adjointness channel by channel: Tr(B Phi(rho)) = Tr(Phi^dag(B) rho)
     for b, ch in zip(bs, chs):
         one = coh._Lifted([ch])
-        lhs = np.trace(b @ one.forward(psi)[0])
-        rhs = np.trace(one.dual(b) @ rho)
+        lhs = np.trace(b @ one.forward(psi[None])[0, 0])
+        rhs = np.trace(one.dual(b[None, None])[0] @ rho)
         assert abs(lhs - rhs) <= 1e-12
 
 
