@@ -209,10 +209,12 @@ def ref_complete_isometry(partial_map):
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("restarts", [0, 1, 8])
 def test_seesaw_matches_single_restart_reference(d, m, restarts):
-    for trial in range(2):
+    for trial in range(3):
         rng = Rng(20_000 + 1000 * d + 100 * m + 10 * restarts + trial)
         gate = chn.random_channel(rng.derive(1), d, 1 + (trial * 3 + m) % (d * d))
         scs = [sup.sample(rng.derive(10 + k), d) for k in range(m)]
+        if trial == 2:  # identical superchannels: the Helstrom projector is empty
+            scs = [scs[0]] * m
         inst = coh.discrimination_seesaw(gate, scs, restarts=restarts, rng=rng.derive(2))
         state, povm, p, log = ref_seesaw(gate, scs, restarts, rng.derive(2))
         assert inst.p_succ == p
