@@ -8,7 +8,7 @@ just the results payload, which is byte-deterministic for a fixed config.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, file I/O or JSON
 parse error, 3 semantic input error (invalid matrices, dim mismatch), 4
-solver failure.
+solver or internal failure (any other exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ EXIT_SOLVER = 4
 
 SEED_MAX = 2**64 - 1
 RESTARTS_MAX = 1024  # the seesaw holds O(restarts * M * d^4) complex entries at once
+DIM_MAX = 8  # a sampled superchannel's C and realization are O(d^4) complex entries
+N_MAX = 1024  # the report holds all n sampled items in memory at once
 
 # The tolerances each subcommand reads: its parser accepts --tol.NAME for
 # these names only, and its report echoes exactly these.
@@ -70,11 +72,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _restarts(text: str) -> int:
-    value = _number(int, text)
-    if value is None or not 1 <= value <= RESTARTS_MAX:
-        raise argparse.ArgumentTypeError(f"must be an integer in 1..{RESTARTS_MAX}, got {text}")
-    return value
+def _int_up_to(cap: int):
+    """Type function for an integer flag in 1..cap; a non-number gets the
+    message of any positive-integer flag."""
+    def parse(text: str) -> int:
+        value = _number(int, text)
+        if value is not None and not 1 <= value <= cap:
+            raise argparse.ArgumentTypeError(f"must be an integer in 1..{cap}, got {text}")
+        return _positive_int(text)
+    return parse
 
 
 def _uint64(text: str) -> int:
@@ -122,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("sample", "emit random objects")
     p.add_argument("--kind", choices=("superchannel", "channel", "dephasing-channel"),
                    default="superchannel")
-    p.add_argument("--dim", type=_positive_int, default=2)
-    p.add_argument("--n", type=_positive_int, default=1)
+    p.add_argument("--dim", type=_int_up_to(DIM_MAX), default=2)
+    p.add_argument("--n", type=_int_up_to(N_MAX), default=1)
     p.add_argument("--rank", type=_positive_int, default=None,
                    help="Kraus rank for --kind channel (default d^2)")
 
@@ -141,13 +147,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel", type=str)
     p.add_argument("--eps", type=_eps_value, action="append", default=None,
                    help="type-I error(s) for the divergence bound (repeatable; default 0 and 0.1)")
-    p.add_argument("--restarts", type=_restarts, default=8)
+    p.add_argument("--restarts", type=_int_up_to(RESTARTS_MAX), default=8)
 
     p = command("distinguish", "seesaw discrimination of superchannels on a gate")
     p.add_argument("gate", type=str)
     p.add_argument("superchannels", type=str, nargs="+",
                    help="two or more superchannel JSON files")
-    p.add_argument("--restarts", type=_restarts, default=32)
+    p.add_argument("--restarts", type=_int_up_to(RESTARTS_MAX), default=32)
 
     p = command("verify", "run the acceptance criteria suite")
     p.add_argument("--trials", type=_positive_int, default=None,
@@ -354,33 +360,44 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     tol = {name: getattr(args, f"tol.{name}") for name in _TOLERANCES[args.command]}
 
-    start = time.perf_counter()
     try:
-        results, checks, code = _HANDLERS[args.command](args, tol, args.seed)
-        wall = time.perf_counter() - start
-        if args.out:  # written before the report, so a failed write prints no report
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(ser.dumps(results))
-        body = {"results": results}
-        if checks is not None:
-            body["checks"] = checks
+        return _run(args, tol)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # unreadable input or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ssc.InvalidCorrelationError as exc:
-        wall = time.perf_counter() - start
-        body = {"error": ser.violation_to_json(exc.violation)}
-        code = EXIT_SEMANTIC
     except coh.SolverError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except Exception as exc:  # anything unmapped: one line, never a traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal failure: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_SOLVER
 
+
+def _run(args, tol: dict) -> int:
+    """Run the subcommand and print its report; an invalid correlation
+    matrix is reported with exit 3, every other exception reaches main."""
+    start = time.perf_counter()
+    try:
+        results, checks, code = _HANDLERS[args.command](args, tol, args.seed)
+        wall = time.perf_counter() - start
+        if args.out:  # written before the report, so a failed write prints no report
+            text = ser.dumps(results)
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        body = {"results": results}
+        if checks is not None:
+            body["checks"] = checks
+    except ssc.InvalidCorrelationError as exc:
+        wall = time.perf_counter() - start
+        body = {"error": ser.violation_to_json(exc.violation)}
+        code = EXIT_SEMANTIC
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,

@@ -111,88 +111,127 @@ def _check_eps(eps: float) -> None:
 def _dh(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     """hypothesis_test_divergence() without its argument checks, for callers
     whose states and eps are valid by construction."""
-    val = _np_test_optimum(rho, sigma, eps)
-    if val <= DH_VALUE_FLOOR:
-        return math.inf
-    return -math.log2(val)
+    return _bits(_np_test_optimum(rho, sigma, eps))
+
+
+def _bits(val: float) -> float:
+    """-log2 of a pre-log optimum, math.inf at or below DH_VALUE_FLOOR."""
+    return math.inf if val <= DH_VALUE_FLOOR else -math.log2(val)
 
 
 def _np_test_optimum(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     """Minimized Tr(Q sigma) of the hypothesis test (the pre-log optimum)."""
+    return _np_test_optima(rho[None], sigma[None], eps)[0]
+
+
+def _np_test_optima(rhos: np.ndarray, sigmas: np.ndarray, eps: float) -> list[float]:
+    """_np_test_optimum of each pair (rhos[i], sigmas[i]) of two (k, n, n)
+    stacks. Every search keeps its own scalar step logic (_np_search); each
+    round probes the searches still bracketing with one stacked eigh of
+    rho_i - t_i sigma_i and one stacked congruence, and numpy's stacked eigh
+    and matmul give every slice the bits of the 2-D call, so each value is
+    bit-identical to a search run alone."""
     if eps < 1e-15:
         # exact: any feasible Q acts as identity on supp(rho), and the
         # support projector itself is feasible, so it is optimal
-        w, v = np.linalg.eigh(rho)
-        p = v[:, w > 1e-12]
-        return float(np.real(np.trace(p.conj().T @ sigma @ p)))
+        ws, vs = np.linalg.eigh(rhos)
+        out = []
+        for w, v, sigma in zip(ws, vs, sigmas):
+            p = v[:, w > 1e-12]
+            out.append(float((p.conj().T @ sigma @ p).trace().real))
+        return out
     target = 1.0 - eps
-    ev_r = np.linalg.eigvalsh(rho)
-    ev_s = np.linalg.eigvalsh(sigma)
+    ev_r = np.linalg.eigvalsh(rhos)
+    ev_s = np.linalg.eigvalsh(sigmas)
+    k = len(rhos)
+    pairs = np.stack([rhos, sigmas], axis=1)  # (k, 2, n, n): one matmul pair maps rho and sigma together
+    searches = [_np_search(er, es, target) for er, es in zip(ev_r, ev_s)]
+    ts = [s.send(None) for s in searches]
+    brackets = [(0.0, 0.0)] * k
+    live = list(range(k))
+    while live:
+        rs = pairs if len(live) == k else pairs[live]
+        w, v = np.linalg.eigh(rs[:, 0] - np.array(ts)[:, None, None] * rs[:, 1])
+        congruent = v.conj().swapaxes(-1, -2)[:, None] @ rs @ v[:, None]
+        still, ts = [], []
+        for i, wi, (ri, si) in zip(live, w, congruent):
+            try:
+                ts.append(searches[i].send((wi, ri, si)))
+                still.append(i)
+            except StopIteration as done:
+                brackets[i] = done.value
+        live = still
+    ts = np.array([0.5 * (lo + hi) for lo, hi in brackets])
+    ws, vs = np.linalg.eigh(rhos - ts[:, None, None] * sigmas)
+    out = []
+    for (lo, hi), es, w, v, rho, sigma in zip(brackets, ev_s, ws, vs, rhos, sigmas):
+        band = max(1e-13, 10.0 * (hi - lo) * max(1.0, np.abs(es).max()))
+        p = v[:, w > band]
+        bm = v[:, np.abs(w) <= band]
+        g = float((p.conj().T @ rho @ p).trace().real) if p.size else 0.0
+        gb = float((bm.conj().T @ rho @ bm).trace().real) if bm.size else 0.0
+        need = target - g
+        if need <= 1e-12:
+            x = 0.0
+        elif gb <= need:
+            x = 1.0
+        else:
+            x = need / gb
+        pv = float((p.conj().T @ sigma @ p).trace().real) if p.size else 0.0
+        vb = float((bm.conj().T @ sigma @ bm).trace().real) if bm.size else 0.0
+        out.append(pv + x * vb)
+    return out
+
+
+def _np_probe(w: np.ndarray, r: np.ndarray, s: np.ndarray, target: float) -> tuple[bool, float]:
+    """Whether h(t) = Tr(P+ rho) meets the target, and the signed step toward
+    the root (see hypothesis_test_divergence), from the eigenvalues w of
+    rho - t sigma with eigenvectors V, r = V^H rho V and s = V^H sigma V."""
+    j = int(w.searchsorted(0.0, "right"))  # w[j:] > 0 >= w[:j]
+    h = float(r[j:, j:].trace().real)
+    feasible = h >= target - 1e-15
+    side = 1.0 if feasible else -1.0
+    k = j if feasible else j - 1
+    step = abs(w[k]) / s[k, k].real if 0 <= k < w.size and s[k, k].real > 0 else math.inf
+    dh = -2.0 * float(((s[j:, :j] * r[j:, :j].conj()).real / (w[j:, None] - w[:j])).sum())
+    if dh < 0:
+        step = min(step, max(0.0, side * (target - h) / dh))
+    return feasible, side * step
+
+
+def _np_search(ev_r: np.ndarray, ev_s: np.ndarray, target: float):
+    """One pair's threshold search, from the spectra of rho and sigma, as a
+    generator: it yields each t to probe, is sent (w, r, s) at that t (see
+    _np_probe), and returns the final bracket (lo, hi)."""
     pos = ev_s[ev_s > 1e-14]
     t_max = ev_r.max() / pos.min() if pos.size else 1e6
-    t_max = min(max(t_max, 1.0), 1e6)
-
-    def probe(t: float) -> tuple[bool, float]:
-        """Whether h(t) = Tr(P+ rho) meets the target, and the signed step
-        toward the root (see hypothesis_test_divergence)."""
-        w, v = np.linalg.eigh(rho - t * sigma)
-        j = int(np.searchsorted(w, 0.0, side="right"))  # w[j:] > 0 >= w[:j]
-        vh = v.conj().T
-        r, s = vh @ rho @ v, vh @ sigma @ v
-        h = float(np.real(np.trace(r[j:, j:])))
-        feasible = h >= target - 1e-15
-        side = 1.0 if feasible else -1.0
-        k = j if feasible else j - 1
-        step = abs(w[k]) / s[k, k].real if 0 <= k < w.size and s[k, k].real > 0 else math.inf
-        dh = -2.0 * float(np.sum(np.real(s[j:, :j] * r[j:, :j].conj()) / (w[j:, None] - w[:j])))
-        if dh < 0:
-            step = min(step, max(0.0, side * (target - h) / dh))
-        return feasible, side * step
-
-    lo, hi = 0.0, t_max
-    feasible, step = probe(hi)
+    lo, hi = 0.0, float(min(max(t_max, 1.0), 1e6))
+    feasible, step = _np_probe(*(yield hi), target)
     if feasible:
         # constraint still satisfiable at the cap; evaluating there keeps Q
         # feasible, so the result stays a valid bound
-        lo = hi
-    else:
-        # a step under half the stop width goes half the width past the
-        # iterate, closing the bracket from the far side; the first such step
-        # is exempt from the test that two steps halve the bracket
-        t, ref, since, was_close = hi, hi - lo, 0, False
-        while hi - lo > 1e-12 * max(1.0, lo):
-            half = 0.5e-12 * max(1.0, lo)
-            close = abs(step) < half
-            nt = t + (math.copysign(half, step) if close else step)
-            stalled = since >= 2 and hi - lo > 0.5 * ref and (was_close or not close)
-            was_close = close
-            if not lo < nt < hi or stalled:
-                nt, ref, since = 0.5 * (lo + hi), 0.5 * (hi - lo), 0
-            else:
-                since += 1
-            t = nt
-            feasible, step = probe(t)
-            if feasible:
-                lo = t
-            else:
-                hi = t
-    t = 0.5 * (lo + hi)
-    band = max(1e-13, 10.0 * (hi - lo) * max(1.0, np.abs(ev_s).max()))
-    w, v = np.linalg.eigh(rho - t * sigma)
-    p = v[:, w > band]
-    bm = v[:, np.abs(w) <= band]
-    g = float(np.real(np.trace(p.conj().T @ rho @ p))) if p.size else 0.0
-    gb = float(np.real(np.trace(bm.conj().T @ rho @ bm))) if bm.size else 0.0
-    need = target - g
-    if need <= 1e-12:
-        x = 0.0
-    elif gb <= need:
-        x = 1.0
-    else:
-        x = need / gb
-    vs = float(np.real(np.trace(p.conj().T @ sigma @ p))) if p.size else 0.0
-    vb = float(np.real(np.trace(bm.conj().T @ sigma @ bm))) if bm.size else 0.0
-    return vs + x * vb
+        return hi, hi
+    # a step under half the stop width goes half the width past the
+    # iterate, closing the bracket from the far side; the first such step
+    # is exempt from the test that two steps halve the bracket
+    t, ref, since, was_close = hi, hi - lo, 0, False
+    while hi - lo > 1e-12 * max(1.0, lo):
+        half = 0.5e-12 * max(1.0, lo)
+        close = abs(step) < half
+        nt = t + (math.copysign(half, step) if close else step)
+        stalled = since >= 2 and hi - lo > 0.5 * ref and (was_close or not close)
+        was_close = close
+        if not lo < nt < hi or stalled:
+            nt, ref, since = 0.5 * (lo + hi), 0.5 * (hi - lo), 0
+        else:
+            since += 1
+        t = nt
+        feasible, step = _np_probe(*(yield t), target)
+        if feasible:
+            lo = t
+        else:
+            hi = t
+    return lo, hi
 
 
 class _Lifted:
@@ -235,7 +274,10 @@ def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
     are Haar-random pure states with per-candidate derived seeds, so the
     bound is nondecreasing in restarts for a fixed base seed. The lifted
     output states are density matrices by construction and are not
-    re-validated.
+    re-validated. All candidates run one stacked threshold search
+    (_np_test_optima): each round is one batched eigh over the candidates
+    still bracketing, and every candidate's value is bit-identical to its
+    own hypothesis_test_divergence search.
     """
     if e1.dim != e2.dim:
         raise ValueError("channels must have equal dims")
@@ -247,11 +289,10 @@ def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
     lifted = _Lifted([e1, e2])
     phi = (np.eye(d).reshape(-1) / np.sqrt(d)).astype(complex)
     psis = np.array([phi] + [haar_vector(rng.derive(i), d * d) for i in range(1, restarts + 1)])
+    outs = lifted.forward(psis)
     best = 0.0
-    for rho, sigma in lifted.forward(psis):
-        best = max(best, _dh(rho, sigma, eps))
-        if math.isinf(best):
-            break
+    for val in _np_test_optima(outs[:, 0], outs[:, 1], eps):
+        best = max(best, _bits(val))
     return best
 
 
@@ -284,7 +325,10 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
     decades until the gap d^2/t is below gap_tol. The KKT matrix is built
     once per call, and each step rewrites only its Hessian block and the
     gradient; the barrier value of an accepted line-search point is carried
-    over as the next step's starting value within one t. Feasibility of the
+    over as the next step's starting value within one t. Whether a trial
+    point diag(y) + O is strictly inside the cone (line search and the
+    quadratic phase's back-off) is one Cholesky attempt (_is_pd), not an
+    eigensolve; the barrier value itself is slogdet. Feasibility of the
     certificate is re-verified before returning.
     """
     d = ch.dim
@@ -305,7 +349,7 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
         # scaled as r - logdet/t so line-search comparisons stay O(1) even at
         # huge t, where the raw t*r - logdet would drown decreases in roundoff
         m = np.diag(yv).astype(complex) + o
-        if np.linalg.eigvalsh(m)[0] <= 0:
+        if not _is_pd(m):
             return math.inf
         _sign, logdet = np.linalg.slogdet(m)
         return rv - logdet.real / tv
@@ -332,8 +376,7 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
                 # strictly feasible
                 s = 1.0
                 while s > 1e-14:
-                    m = np.diag(y + s * dx[:n]).astype(complex) + o
-                    if np.linalg.eigvalsh(m)[0] > 0:
+                    if _is_pd(np.diag(y + s * dx[:n]).astype(complex) + o):
                         break
                     s *= 0.5
                 f0 = None
@@ -374,6 +417,15 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
     if not checks["ok"]:
         raise SolverError(f"robustness certificate failed re-verification: {checks}")
     return cert
+
+
+def _is_pd(m: np.ndarray) -> bool:
+    """Whether the Hermitian m is positive definite: its Cholesky factor exists."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def check_certificate(ch: Channel, cert: RobustnessCertificate,

@@ -302,6 +302,50 @@ def test_restarts_flag_accepts_the_cap(capsys, monkeypatch):
     assert code == 4
     assert seen == [1024]
 
+
+@pytest.mark.parametrize("flag, cap", [("--dim", 8), ("--n", 1024)])
+@pytest.mark.parametrize("offset", [None, 1, 10**12])
+def test_sample_dim_and_n_are_bounded(capsys, monkeypatch, flag, cap, offset):
+    # rejected while parsing, so nothing is allocated at the bad size
+    monkeypatch.setattr(sup, "sample", _unreachable)
+    value = "0" if offset is None else str(offset if offset > cap else cap + offset)
+    code, out, err = run_cli(capsys, "sample", flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: must be an integer in 1..{cap}, got {value}" in err
+    assert (cli.DIM_MAX, cli.N_MAX) == (8, 1024)
+
+
+def test_sample_flags_accept_their_caps(capsys, monkeypatch):
+    seen = []
+
+    def stub(rng, d):
+        seen.append(d)
+        return sup.identity_superchannel(1)
+
+    monkeypatch.setattr(sup, "sample", stub)
+    code, out, _ = run_cli(capsys, "sample", "--dim", str(cli.DIM_MAX), "--n", str(cli.N_MAX))
+    assert code == 0
+    assert seen == [cli.DIM_MAX] * cli.N_MAX
+    assert len(parse_report(out)["results"]["items"]) == cli.N_MAX
+
+
+@pytest.mark.parametrize("exc", [TypeError("bad operand"), MemoryError(), KeyError("dim"),
+                                 ZeroDivisionError("division by zero"),
+                                 AssertionError("two\nlines")])
+def test_unmapped_exception_exits_4_in_one_line(tmp_path, capsys, monkeypatch, exc):
+    def fail(args, tol, seed):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "sample", fail)
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "sample", "--out", str(out_path))
+    assert code == 4
+    assert out == ""
+    assert not out_path.exists()
+    message = " ".join(str(exc).splitlines())
+    assert err == f"error: internal failure: {type(exc).__name__}: {message}\n"
+
 def test_coherence_classical_channel(tmp_path, capsys):
     t = np.array([[0.7, 0.2], [0.3, 0.8]])
     ch_path = write_channel(tmp_path, chn.classical_channel(t))

@@ -296,6 +296,15 @@ def test_dh_lower_saturates_at_fourier_gate(d):
         val = coh.dh_channel_divergence_lower(f, chn.classical_version(f), eps)
         assert abs(val - math.log2(d * d / (1.0 - eps))) <= 1e-9
 
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_robustness_saturates_at_fourier_gate(d):
+    # J(F_d) is maximally coherent on d^2 levels, so R(F_d) = d^2 - 1
+    f = chn.unitary_channel(fourier(d))
+    cert = coh.robustness(f)
+    assert abs(cert.value - (d * d - 1)) <= cert.primal_dual_gap
+    assert coh.check_certificate(f, cert)["ok"]
+
 def test_robustness_classical_is_zero():
     raw = Rng(79).uniform(size=(3, 3)) + 1e-3
     t = raw / raw.sum(axis=0, keepdims=True)

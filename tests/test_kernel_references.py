@@ -1,8 +1,9 @@
 """Bit-identity of the stacked kernels against frozen single-input copies.
 
-The seesaw advances all restarts as one stack, robustness reuses one KKT
-matrix and carries the line-search barrier value, and complete_isometry
-carries its residuals across pivot rounds. Each is meant to run the same
+The seesaw advances all restarts as one stack, the D_H lower bound runs
+one stacked threshold search over all its candidates, robustness reuses
+one KKT matrix and carries the line-search barrier value, and
+complete_isometry carries its residuals across pivot rounds. Each is meant to run the same
 floating-point operations as the one-at-a-time code it replaced, so every
 comparison here is exact (== and np.array_equal), never a tolerance.
 """
@@ -162,6 +163,94 @@ def ref_robustness(ch):
     return value, ym / value, target, n / t
 
 
+def ref_np_test_optimum(rho, sigma, eps):
+    """_np_test_optimum as one safeguarded Newton search per pair."""
+    if eps < 1e-15:
+        w, v = np.linalg.eigh(rho)
+        p = v[:, w > 1e-12]
+        return float(np.real(np.trace(p.conj().T @ sigma @ p)))
+    target = 1.0 - eps
+    ev_r = np.linalg.eigvalsh(rho)
+    ev_s = np.linalg.eigvalsh(sigma)
+    pos = ev_s[ev_s > 1e-14]
+    t_max = ev_r.max() / pos.min() if pos.size else 1e6
+    t_max = min(max(t_max, 1.0), 1e6)
+
+    def probe(t):
+        w, v = np.linalg.eigh(rho - t * sigma)
+        j = int(np.searchsorted(w, 0.0, side="right"))
+        vh = v.conj().T
+        r, s = vh @ rho @ v, vh @ sigma @ v
+        h = float(np.real(np.trace(r[j:, j:])))
+        feasible = h >= target - 1e-15
+        side = 1.0 if feasible else -1.0
+        k = j if feasible else j - 1
+        step = abs(w[k]) / s[k, k].real if 0 <= k < w.size and s[k, k].real > 0 else math.inf
+        dh = -2.0 * float(np.sum(np.real(s[j:, :j] * r[j:, :j].conj()) / (w[j:, None] - w[:j])))
+        if dh < 0:
+            step = min(step, max(0.0, side * (target - h) / dh))
+        return feasible, side * step
+
+    lo, hi = 0.0, t_max
+    feasible, step = probe(hi)
+    if feasible:
+        lo = hi
+    else:
+        t, ref, since, was_close = hi, hi - lo, 0, False
+        while hi - lo > 1e-12 * max(1.0, lo):
+            half = 0.5e-12 * max(1.0, lo)
+            close = abs(step) < half
+            nt = t + (math.copysign(half, step) if close else step)
+            stalled = since >= 2 and hi - lo > 0.5 * ref and (was_close or not close)
+            was_close = close
+            if not lo < nt < hi or stalled:
+                nt, ref, since = 0.5 * (lo + hi), 0.5 * (hi - lo), 0
+            else:
+                since += 1
+            t = nt
+            feasible, step = probe(t)
+            if feasible:
+                lo = t
+            else:
+                hi = t
+    t = 0.5 * (lo + hi)
+    band = max(1e-13, 10.0 * (hi - lo) * max(1.0, np.abs(ev_s).max()))
+    w, v = np.linalg.eigh(rho - t * sigma)
+    p = v[:, w > band]
+    bm = v[:, np.abs(w) <= band]
+    g = float(np.real(np.trace(p.conj().T @ rho @ p))) if p.size else 0.0
+    gb = float(np.real(np.trace(bm.conj().T @ rho @ bm))) if bm.size else 0.0
+    need = target - g
+    if need <= 1e-12:
+        x = 0.0
+    elif gb <= need:
+        x = 1.0
+    else:
+        x = need / gb
+    vs = float(np.real(np.trace(p.conj().T @ sigma @ p))) if p.size else 0.0
+    vb = float(np.real(np.trace(bm.conj().T @ sigma @ bm))) if bm.size else 0.0
+    return vs + x * vb
+
+
+def dh_candidates(e1, e2, restarts, rng):
+    """The (1 + restarts, 2, d^2, d^2) lifted outputs dh_channel_divergence_lower searches."""
+    d = e1.dim
+    phi = (np.eye(d).reshape(-1) / np.sqrt(d)).astype(complex)
+    psis = np.array([phi] + [haar_vector(rng.derive(i), d * d) for i in range(1, restarts + 1)])
+    return coh._Lifted([e1, e2]).forward(psis)
+
+
+def ref_dh_channel_divergence_lower(e1, e2, eps, restarts, rng):
+    """The D_H lower bound as a max over one search per candidate."""
+    best = 0.0
+    for rho, sigma in dh_candidates(e1, e2, restarts, rng):
+        val = ref_np_test_optimum(rho, sigma, eps)
+        best = max(best, math.inf if val <= coh.DH_VALUE_FLOOR else -math.log2(val))
+        if math.isinf(best):
+            break
+    return best
+
+
 def ref_residual(vec, basis):
     w = vec.astype(complex)
     for b in basis:
@@ -233,6 +322,76 @@ def _robustness_channels():
     for d in (2, 3):
         yield chn.classical_version(chn.random_channel(rng.derive(900 + d), d, d))
         yield chn.identity_channel(d)
+
+
+DH_EPS = (0.0, 1e-3, 0.1, 0.5, 0.9)
+
+
+def _dh_channel_pairs(d):
+    """(E1, E2) pairs: a gate against its classical version, two unrelated
+    gates, identical gates and, for d >= 2, the identity against the cyclic
+    shift, whose outputs on the maximally entangled input are orthogonal (a
+    candidate at the floor)."""
+    rng = Rng(24_000 + d)
+    ch = chn.random_channel(rng.derive(1), d, min(1 + d, d * d))
+    other = chn.random_channel(rng.derive(2), d, d * d)
+    pairs = [(ch, chn.classical_version(ch)), (ch, other), (other, other)]
+    if d >= 2:
+        pairs.append((chn.identity_channel(d), chn.unitary_channel(np.roll(np.eye(d), 1, axis=0))))
+    return pairs
+
+
+def _dh_candidate_stacks():
+    """(rhos, sigmas) stacks of 1 + 8 candidates, as dh_channel_divergence_lower forms them."""
+    for d in (1, 2, 3, 4):
+        for k, (e1, e2) in enumerate(_dh_channel_pairs(d)):
+            outs = dh_candidates(e1, e2, 8, Rng(25_000 + 10 * d + k))
+            yield outs[:, 0], outs[:, 1]
+
+
+def test_np_test_optima_match_single_pair_reference():
+    n = same = floor = 0
+    for rhos, sigmas in _dh_candidate_stacks():
+        for eps in DH_EPS:
+            got = coh._np_test_optima(rhos, sigmas, eps)
+            assert len(got) == len(rhos)
+            for val, rho, sigma in zip(got, rhos, sigmas):
+                assert val == ref_np_test_optimum(rho, sigma, eps)
+                n += 1
+                same += bool(np.array_equal(rho, sigma))
+                floor += val <= coh.DH_VALUE_FLOOR
+    assert n >= 600 and same >= 150 and floor >= 15
+
+
+@pytest.mark.parametrize("restarts", [0, 1, 8])
+def test_dh_lower_matches_per_candidate_max(restarts):
+    for d in (1, 2, 3, 4):
+        for k, (e1, e2) in enumerate(_dh_channel_pairs(d)):
+            for eps in DH_EPS:
+                rng = Rng(26_000 + 10 * d + k)
+                got = coh.dh_channel_divergence_lower(e1, e2, eps, restarts=restarts, rng=rng)
+                assert got == ref_dh_channel_divergence_lower(e1, e2, eps, restarts, rng)
+
+
+def test_dh_lower_eigensolve_count(monkeypatch):
+    eigh = np.linalg.eigh
+    calls = [0]
+
+    def counted(a):
+        calls[0] += 1
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    e1, e2 = _dh_channel_pairs(3)[0]
+    rng = Rng(27_000)
+    coh.dh_channel_divergence_lower(e1, e2, 0.1, restarts=8, rng=rng)
+    stacked = calls[0]
+    counts = []
+    for rho, sigma in dh_candidates(e1, e2, 8, rng):
+        calls[0] = 0
+        ref_np_test_optimum(rho, sigma, 0.1)
+        counts.append(calls[0])
+    assert stacked <= max(counts) + 3 < sum(counts)
 
 
 def test_robustness_matches_reference():
