@@ -31,8 +31,8 @@ MEASURES = (L1, REL_ENT)
 
 DH_VALUE_FLOOR = 1e-12  # optimum below this reports +inf
 FEAS_TOL = 1e-8
-GAP_TOL = 1e-8  # barrier duality gap at which robustness stops
-MAX_NEWTON = 60  # Newton steps per barrier round before SolverError
+GAP_TOL = 1e-8  # certified duality gap value - lower_bound at which robustness stops
+MAX_PD_ITERS = 25  # primal-dual iterations per robustness call before SolverError
 SEESAW_ITERS = 40  # alternating steps per seesaw restart
 
 
@@ -298,18 +298,27 @@ def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
 
 @dataclass(frozen=True)
 class RobustnessCertificate:
-    """Optimal mixing weight making the channel classical, with its witnesses.
+    """Optimal mixing weight making the channel classical, with primal and
+    dual witnesses that check_certificate verifies without the solver.
 
-    value is R(E); noise_channel is the optimal F with (J(E) + R J(F))/(1+R)
-    diagonal (None in the zero-robustness branch); classical_target is the
-    transition matrix of the classical channel reached; primal_dual_gap is
-    the barrier duality gap at termination.
+    value is R(E), attained by the primal witness: noise_channel is the
+    optimal F with (J(E) + R J(F))/(1+R) diagonal (None in the
+    zero-robustness branch) and classical_target is the transition matrix of
+    the classical channel reached. dual is a dual-feasible Z (Z >= 0 and
+    Z_(ik)(ik) = nu_k with sum_k nu_k = d), so lower_bound =
+    tr(Z offdiag J(E)) <= R(E) by weak duality; primal_dual_gap is the
+    certified width value - lower_bound.
     """
 
     value: float
     noise_channel: Channel | None
     classical_target: np.ndarray
-    primal_dual_gap: float
+    lower_bound: float
+    dual: np.ndarray
+
+    @property
+    def primal_dual_gap(self) -> float:
+        return self.value - self.lower_bound
 
 
 def robustness(ch: Channel, gap_tol: float = GAP_TOL,
@@ -319,123 +328,119 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
 
     Reduction: Y = r J(F) must cancel the off-diagonal of J(E) exactly, so
     only the d^2 diagonal entries y are free, tied by the d trace-preservation
-    sums y_{0k} + ... + y_{(d-1)k} = r/d and minimized via r = Tr(Y). Solved
-    by a log-det barrier with Newton steps on the equality-constrained
-    problem (at most MAX_NEWTON steps per round); barrier parameter grows by
-    decades until the gap d^2/t is below gap_tol. The KKT matrix is built
-    once per call, and each step rewrites only its Hessian block and the
-    gradient; the barrier value of an accepted line-search point is carried
-    over as the next step's starting value within one t. Whether a trial
-    point diag(y) + O is strictly inside the cone (line search and the
-    quadratic phase's back-off) is one Cholesky attempt (_is_pd), not an
-    eigensolve; the barrier value itself is slogdet. Feasibility of the
-    certificate is re-verified before returning.
+    sums y_{0k} + ... + y_{(d-1)k} = r/d and minimized via r = Tr(Y): the
+    primal is X = diag(y) + O >= 0 with O = -offdiag J(E). Its dual (Napoli
+    et al., PRL 116, 150502, 2016) maximizes tr(Z offdiag J(E)) over Z >= 0
+    with Z_(ik)(ik) = nu_k and sum_k nu_k = d, and the gap is <X, Z>.
+
+    Solved by a feasible-start primal-dual path-following method from
+    y = c0 1, Z = I: each iteration takes the HKM direction with a Mehrotra
+    predictor-corrector (sigma = (mu_aff/mu)^3), both solves sharing one
+    Cholesky of X and one of Z, and each cone takes 0.98 of its distance to
+    the boundary. The KKT matrix [[H, A^T], [A, 0]] is built once; an
+    iteration rewrites H = Re(X^-1 o Z^T) only. It stops when the certified
+    gap value - lower_bound is at most gap_tol, lower_bound coming from Z
+    rescaled to exact dual feasibility (_repair_dual). A lost Cholesky, or
+    MAX_PD_ITERS iterations short of gap_tol, raises SolverError naming the
+    gap reached. The certificate is re-verified before returning.
     """
     d = ch.dim
     n = d * d
     jam = ch.jam
     off = jam - np.diag(np.diag(jam))
     if np.abs(off).max() < 1e-12:
-        return RobustnessCertificate(0.0, None, transition_matrix(ch), 0.0)
+        return RobustnessCertificate(0.0, None, transition_matrix(ch), 0.0, np.eye(n, dtype=complex))
     o = -off
     # constraints A x = 0 on x = (y, r): column sums of y equal r/d
     a = np.hstack([np.tile(np.eye(d), d), np.full((d, 1), -1.0 / d)])
     c0 = float(np.linalg.norm(o, 2)) + 1.0
     y = np.full(n, c0)
     r = n * c0
-    t = 1.0
-
-    def barrier(yv: np.ndarray, rv: float, tv: float) -> float:
-        # scaled as r - logdet/t so line-search comparisons stay O(1) even at
-        # huge t, where the raw t*r - logdet would drown decreases in roundoff
-        m = np.diag(yv).astype(complex) + o
-        if not _is_pd(m):
-            return math.inf
-        _sign, logdet = np.linalg.slogdet(m)
-        return rv - logdet.real / tv
-
-    # KKT [[H, A^T], [A, 0]] [dx; nu] = [-grad; 0]: a step rewrites H's y block and grad
+    z = np.eye(n, dtype=complex)
+    # KKT [[H, A^T], [A, 0]] [dx; -dlambda] = [Re diag(R); 0], with dZ = herm(R - X^-1 dX Z)
     kkt = np.block([[np.zeros((n + 1, n + 1)), a.T], [a, np.zeros((d, d))]])
     rhs = np.zeros(n + 1 + d)
-    f0 = None  # barrier at (y, r, t), once a line search has evaluated it
-    while True:
-        converged = False
-        for _ in range(MAX_NEWTON):
-            ym = np.diag(y).astype(complex) + o
-            yi = np.linalg.inv(ym)
-            grad = np.concatenate([-np.real(np.diag(yi)), [t]])
-            kkt[:n, :n] = np.abs(yi) ** 2
-            rhs[: n + 1] = -grad
-            dx = np.linalg.solve(kkt, rhs)[: n + 1]
-            decrement = float(-grad @ dx) / 2.0
-            if decrement <= 1e-11:
-                converged = True
-                break
-            if decrement <= 0.25:
-                # quadratic phase: full Newton step, backing off only to stay
-                # strictly feasible
-                s = 1.0
-                while s > 1e-14:
-                    if _is_pd(np.diag(y + s * dx[:n]).astype(complex) + o):
-                        break
-                    s *= 0.5
-                f0 = None
-            else:
-                if f0 is None:
-                    f0 = barrier(y, r, t)
-                slope = float(grad @ dx) / t
-                s = 1.0
-                while s > 1e-14:
-                    f = barrier(y + s * dx[:n], r + s * dx[n], t)
-                    if f <= f0 + 0.25 * s * slope:
-                        break
-                    s *= 0.5
-                # the accepted trial point is the next iterate, bit for bit
-                f0 = f if s > 1e-14 else None
-            step = s * dx
-            y = y + step[:n]
-            r = r + step[n]
-            scale = max(1.0, abs(r), float(np.abs(y).max()))
-            if decrement <= 1e-6 and float(np.abs(step).max()) <= 1e-13 * scale:
-                # the step is below float64 resolution of the iterate, so the
-                # residual decrement is roundoff noise at scale t; a decrement
-                # this small keeps the duality-gap bound intact
-                converged = True
-                break
-        if not converged:
-            raise SolverError(f"robustness Newton loop stalled at t={t:.1e}")
-        if n / t <= gap_tol:
-            break
-        t *= 10.0
-        f0 = None
-    gap = n / t
-    ym = np.diag(y).astype(complex) + o
+
+    def direction(res: np.ndarray):
+        rhs[:n] = res.diagonal().real
+        dx = np.linalg.solve(kkt, rhs)[: n + 1]
+        dz = res - (xi * dx[:n]) @ z
+        return dx, 0.5 * (dz + dz.conj().T)
+
+    gap = math.inf
+    try:
+        for _ in range(MAX_PD_ITERS):
+            x = np.diag(y) + o
+            lis = np.linalg.inv(np.linalg.cholesky(np.stack([x, z])))
+            mu = float(np.vdot(x, z).real) / n
+            gap = n * mu  # <X, Z>, the duality gap up to roundoff
+            if gap <= gap_tol:
+                zd = _repair_dual(z, d)
+                lower = float(np.vdot(off, zd).real)
+                gap = r - lower
+                if gap <= gap_tol:
+                    break
+            xi = lis[0].conj().T @ lis[0]
+            kkt[:n, :n] = (xi * z.T).real
+            dxa, dza = direction(-z)
+            ap, ad = _step_lengths(lis, dxa[:n], dza, 1.0)
+            mu_aff = float(np.vdot(x + ap * np.diag(dxa[:n]), z + ad * dza).real) / n
+            sigma = (mu_aff / mu) ** 3
+            dx, dz = direction(sigma * mu * xi - z - xi @ (dxa[:n, None] * dza))
+            ap, ad = _step_lengths(lis, dx[:n], dz, 0.98)
+            y = y + ap * dx[:n]
+            r = r + ap * dx[n]
+            z = z + ad * dz
+        else:
+            raise SolverError(f"robustness stopped at gap {gap:.1e} after {MAX_PD_ITERS} iterations")
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"robustness lost positive definiteness at gap {gap:.1e}: {exc}") from None
     value = float(r)
-    target = (d * np.real(np.diag(jam + ym)) / (1.0 + value)).reshape(d, d)
-    cert = RobustnessCertificate(value, Channel(dim=d, jam=ym / value), target, gap)
+    target = (d * np.real(np.diag(jam + x)) / (1.0 + value)).reshape(d, d)
+    cert = RobustnessCertificate(value, Channel(dim=d, jam=x / value), target, lower, zd)
     checks = check_certificate(ch, cert, feas_tol, gap_tol)
     if not checks["ok"]:
         raise SolverError(f"robustness certificate failed re-verification: {checks}")
     return cert
 
 
-def _is_pd(m: np.ndarray) -> bool:
-    """Whether the Hermitian m is positive definite: its Cholesky factor exists."""
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _step_lengths(lis: np.ndarray, dy: np.ndarray, dz: np.ndarray, frac: float) -> list[float]:
+    """min(1, frac * the largest s keeping X + s diag(dy) and Z + s dZ PSD),
+    for X and Z in turn, from lis = (Lx^-1, Lz^-1) of X = Lx Lx^H and
+    Z = Lz Lz^H: one stacked eigvalsh of the two congruent steps."""
+    lx, lz = lis
+    w = np.linalg.eigvalsh(np.stack([(lx * dy) @ lx.conj().T, lz @ dz @ lz.conj().T]))[:, 0]
+    return [min(1.0, -frac / v) if v < 0 else 1.0 for v in w]
+
+
+def _repair_dual(z: np.ndarray, d: int) -> np.ndarray:
+    """D Z D with D_(ik) = sqrt(nu_k / Z_(ik)(ik)), nu_k the mean of group
+    k's diagonal scaled to sum_k nu_k = d: exactly dual-feasible, and PSD
+    whenever Z is (a congruence)."""
+    diag = z.diagonal().real.reshape(d, d)
+    nu = diag.mean(axis=0)
+    s = np.sqrt(nu * (d / nu.sum()) / diag).reshape(-1)
+    return s[:, None] * z * s
 
 
 def check_certificate(ch: Channel, cert: RobustnessCertificate,
                       feas_tol: float = FEAS_TOL, gap_tol: float = GAP_TOL) -> dict:
-    """Independent residuals of a certificate; ok holds them to feas_tol, its gap to gap_tol."""
+    """Independent residuals of a certificate. ok holds the primal witness
+    (noise PSD, off-diagonal cancelled, trace preserving, target
+    column-stochastic) and the dual Z (PSD, Z_(ik)(ik) = nu_k equal within
+    each group k, sum_k nu_k = d) to feas_tol. The gap is recomputed as
+    value - tr(Z offdiag J(E)) and must lie in [-feas_tol, gap_tol], and the
+    stored lower_bound may not exceed what Z certifies by more than feas_tol.
+    """
     d = ch.dim
     t = np.asarray(cert.classical_target)
-    report: dict = {"value": cert.value, "gap": cert.primal_dual_gap}
+    off = ch.jam - np.diag(np.diag(ch.jam))
+    z = np.asarray(cert.dual)
+    bound = float(np.vdot(off, z).real)
+    zdiag = z.diagonal().real.reshape(d, d)
+    nu = zdiag.mean(axis=0)
+    report: dict = {"value": cert.value, "lower_bound": cert.lower_bound, "gap": cert.value - bound}
     if cert.noise_channel is None:
-        off = ch.jam - np.diag(np.diag(ch.jam))
         report["offdiag_residual"] = float(np.abs(off).max())
         report["psd_min_eig"] = 0.0
         report["tp_residual"] = 0.0
@@ -448,13 +453,19 @@ def check_certificate(ch: Channel, cert: RobustnessCertificate,
         report["tp_residual"] = float(np.abs(ydiag.sum(axis=0) - cert.value / d).max())
     report["target_column_residual"] = float(np.abs(t.sum(axis=0) - 1.0).max())
     report["target_min_entry"] = float(t.min())
+    report["dual_min_eig"] = float(np.linalg.eigvalsh(z)[0])
+    report["dual_diag_residual"] = float(max(np.abs(zdiag - nu).max(), abs(nu.sum() - d)))
+    report["lower_bound_excess"] = cert.lower_bound - bound
     report["ok"] = bool(
         report["psd_min_eig"] >= -feas_tol
         and report["offdiag_residual"] <= feas_tol
         and report["tp_residual"] <= feas_tol
         and report["target_column_residual"] <= feas_tol
         and report["target_min_entry"] >= -feas_tol
-        and cert.primal_dual_gap <= gap_tol
+        and report["dual_min_eig"] >= -feas_tol
+        and report["dual_diag_residual"] <= feas_tol
+        and report["lower_bound_excess"] <= feas_tol
+        and -feas_tol <= report["gap"] <= gap_tol
         and cert.value >= -feas_tol
     )
     return report

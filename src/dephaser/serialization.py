@@ -169,6 +169,7 @@ def realization_from_json(obj) -> SuperRealization:
 def certificate_to_json(cert) -> dict:
     out = {
         "value": encode_float(cert.value),
+        "lower_bound": encode_float(cert.lower_bound),
         "primal_dual_gap": encode_float(cert.primal_dual_gap),
         "classical_target": matrix_to_json(np.asarray(cert.classical_target, dtype=complex)),
         "noise_channel": None,
@@ -185,8 +186,19 @@ def instance_to_json(inst) -> dict:
         "input_state": matrix_to_json(inst.input_state),
         "povm": [matrix_to_json(b) for b in inst.povm],
         "p_succ": encode_float(inst.p_succ),
-        "iteration_log": list(inst.iteration_log),
+        "iteration_log": _log_summary(inst.iteration_log),
     }
+
+
+def _log_summary(log) -> list[dict]:
+    """One row per restart of a seesaw log: its iteration count and its
+    first and last objective."""
+    rows: dict = {}
+    for rec in log:
+        row = rows.setdefault(rec["restart"], {"restart": rec["restart"], "start": rec["objective"]})
+        row["iterations"] = rec["iter"]
+        row["final"] = rec["objective"]
+    return list(rows.values())
 
 
 def dumps(obj) -> str:

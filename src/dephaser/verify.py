@@ -259,7 +259,8 @@ def _c9_robustness_sdp(cfg: VerifyConfig) -> CriterionResult:
         worst = max(worst, abs(cert.value - grid))
         checks = coh.check_certificate(ch, cert, cfg.tol["feas"], cfg.tol["gap"])
         worst_feas = max(worst_feas, checks["offdiag_residual"], checks["tp_residual"],
-                         -checks["psd_min_eig"], checks["target_column_residual"])
+                         -checks["psd_min_eig"], checks["target_column_residual"],
+                         -checks["dual_min_eig"], checks["dual_diag_residual"])
     t = _random_stochastic(rng.derive(777), 2)
     classical_value = coh.robustness(chn.classical_channel(t)).value
     passed = worst <= tol and worst_feas <= cfg.tol["feas"] and classical_value == 0.0

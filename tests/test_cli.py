@@ -28,7 +28,7 @@ def run_cli(capsys, *argv):
 
 def parse_report(out):
     report = json.loads(out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     return report
 
 
@@ -497,6 +497,33 @@ def test_gap_tolerance_checks_the_duality_gap(capsys):
     report = parse_report(out)
     assert report["checks"]["certificate_ok"] is True
     assert report["results"]["certificate_checks"]["gap"] <= 1e-7
+
+
+def _channel_file(tmp_path, d):
+    if d == 2:
+        return fixture_path("hadamard_channel.json")
+    return write_channel(tmp_path, chn.random_channel(Rng(3_500 + d), d, 2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gap_tolerance_is_certified(tmp_path, capsys, d):
+    code, out, _ = run_cli(capsys, "coherence", _channel_file(tmp_path, d),
+                           "--eps", "0.0", "--restarts", "1", "--tol.gap", "1e-10")
+    assert code == 0
+    rob = parse_report(out)["results"]["robustness"]
+    assert 0.0 <= rob["value"] - rob["lower_bound"] <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_uncertifiable_gap_exits_4(tmp_path, capsys, d):
+    # below roundoff no dual point certifies the gap, so the solver fails
+    # instead of reporting a nominal one
+    code, out, err = run_cli(capsys, "coherence", _channel_file(tmp_path, d),
+                             "--eps", "0.0", "--restarts", "1", "--tol.gap", "1e-15")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: solver failed: ")
 
 
 def test_verify_quick_mode(capsys):

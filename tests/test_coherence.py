@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -555,3 +556,99 @@ def test_seesaw_pinned_success_probability(d, p_succ):
     scs = [sup.sample(rng.derive(10 + i), d) for i in range(2)]
     inst = coh.discrimination_seesaw(gate, scs, restarts=4, rng=rng.derive(2))
     assert abs(inst.p_succ - p_succ) <= 1e-9
+
+
+def _certificate_channels():
+    # d = 1 (classical by force), random channels at d = 2-4, the Fourier
+    # gate and near-classical channels with off-diagonal mass down to 1e-9
+    yield chn.random_channel(Rng(3_000), 1, 1)
+    for d in (2, 3, 4):
+        for k in range(4):
+            yield chn.random_channel(Rng(3_000 + 10 * d + k), d, 1 + k * (d * d - 1) // 3)
+        yield chn.unitary_channel(fourier(d))
+        ch = chn.random_channel(Rng(3_100 + d), d, d)
+        classical = chn.classical_version(ch).jam
+        for s in (1e-3, 1e-6, 1e-9):
+            yield chn.Channel(dim=d, jam=s * ch.jam + (1.0 - s) * classical)
+
+
+def test_every_certificate_brackets_robustness():
+    for ch in _certificate_channels():
+        cert = coh.robustness(ch)
+        report = coh.check_certificate(ch, cert)
+        assert report["ok"], report
+        assert 0.0 <= cert.value - cert.lower_bound <= coh.GAP_TOL
+        assert report["gap"] == cert.value - cert.lower_bound
+
+
+def _tampered(cert, kind):
+    z = cert.dual.copy()
+    if kind == "dual-not-psd":
+        # an off-diagonal pair larger than its diagonal: the diagonal conditions hold
+        z[0, 1] = z[1, 0] = 10.0 * np.abs(z.diagonal()).max()
+        return dataclasses.replace(cert, dual=z)
+    if kind == "dual-diagonal":
+        z[0, 0] += 1e-3
+        return dataclasses.replace(cert, dual=z)
+    return dataclasses.replace(cert, lower_bound=cert.lower_bound + 1e-6)
+
+
+@pytest.mark.parametrize("kind,residual", [("dual-not-psd", "dual_min_eig"),
+                                           ("dual-diagonal", "dual_diag_residual"),
+                                           ("inflated-bound", "lower_bound_excess")])
+def test_check_certificate_rejects_a_tampered_dual(kind, residual):
+    ch = chn.random_channel(Rng(3_200), 3, 2)
+    cert = coh.robustness(ch)
+    assert coh.check_certificate(ch, cert)["ok"]
+    report = coh.check_certificate(ch, _tampered(cert, kind))
+    assert not report["ok"]
+    assert abs(report[residual]) > coh.FEAS_TOL
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_robustness_solve_count(monkeypatch, d):
+    # two KKT solves (predictor and corrector) per primal-dual iteration
+    solve = np.linalg.solve
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for k in range(6):
+        calls[0] = 0
+        coh.robustness(chn.random_channel(Rng(3_300 + 10 * d + k), d, 1 + k % (d * d)))
+        assert 0 < calls[0] <= 2 * 25
+
+
+def test_robustness_unreachable_gap_is_a_solver_error():
+    ch = chn.random_channel(Rng(3_400), 3, 2)
+    with pytest.raises(coh.SolverError, match="gap"):
+        coh.robustness(ch, gap_tol=1e-15)
+
+
+def _phase(d, k):
+    """Rank-one phase correlation v v^H with v_j = w^(kj): D_C is conjugation by Z^k."""
+    v = np.exp(2j * np.pi * k * np.arange(d) / d)
+    return chn.dephasing_c(np.outer(v, v.conj()))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_seesaw_is_perfect_at_fourier_gate(d):
+    # pre_post(Z^k, Z^l) maps F_d to Z^l F_d Z^k; these d^2 unitaries are
+    # mutually orthogonal, so p_succ = 1 and M p_succ = 1 + R = d^2
+    f = fourier(d)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    gate = chn.unitary_channel(f)
+    scs = []
+    for k in range(d):
+        for l in range(d):
+            sc = sup.pre_post(_phase(d, k), _phase(d, l))
+            image = np.linalg.matrix_power(clock, l) @ f @ np.linalg.matrix_power(clock, k)
+            assert np.abs(sup.apply(sc, gate).jam - chn.unitary_channel(image).jam).max() <= 1e-12
+            scs.append(sc)
+    inst = coh.discrimination_seesaw(gate, scs, restarts=2)
+    assert inst.p_succ >= 1.0 - 1e-9
+    cert = coh.robustness(gate)
+    assert abs(len(scs) * inst.p_succ - (1.0 + cert.value)) <= cert.primal_dual_gap + 1e-9

@@ -1,11 +1,14 @@
 """Bit-identity of the stacked kernels against frozen single-input copies.
 
 The seesaw advances all restarts as one stack, the D_H lower bound runs
-one stacked threshold search over all its candidates, robustness reuses
-one KKT matrix and carries the line-search barrier value, and
+one stacked threshold search over all its candidates, and
 complete_isometry carries its residuals across pivot rounds. Each is meant to run the same
 floating-point operations as the one-at-a-time code it replaced, so every
 comparison here is exact (== and np.array_equal), never a tolerance.
+
+The one exception is robustness: the primal-dual solver replaced the
+log-det barrier, so it is held to the frozen barrier from both sides
+(weak duality), not bit for bit.
 """
 
 import math
@@ -92,6 +95,9 @@ def ref_seesaw(gate, scs, restarts, rng):
     return np.outer(best_psi, best_psi.conj()), tuple(best_povm), p, tuple(logs)
 
 
+MAX_NEWTON = 60  # Newton steps per barrier round of ref_robustness
+
+
 def ref_robustness(ch):
     """robustness() with a per-step np.block KKT matrix and a fresh barrier
     evaluation at the start of every line search; returns (value, noise jam
@@ -118,7 +124,7 @@ def ref_robustness(ch):
 
     while True:
         converged = False
-        for _ in range(coh.MAX_NEWTON):
+        for _ in range(MAX_NEWTON):
             ym = np.diag(y).astype(complex) + o
             yi = np.linalg.inv(ym)
             grad = np.concatenate([-np.real(np.diag(yi)), [t]])
@@ -395,18 +401,22 @@ def test_dh_lower_eigensolve_count(monkeypatch):
 
 
 def test_robustness_matches_reference():
+    # the frozen barrier's value is primal feasible and its gap bounds its
+    # suboptimality, so R lies in [ref.value - ref.gap, ref.value]; the
+    # certified lower bound sits below it and the value above it
     n = zero = 0
     for ch in _robustness_channels():
         cert = coh.robustness(ch)
         value, noise, target, gap = ref_robustness(ch)
-        assert cert.value == value
-        assert cert.primal_dual_gap == gap
-        assert np.array_equal(cert.classical_target, target)
         if noise is None:
+            assert cert.value == value
+            assert cert.primal_dual_gap == gap
+            assert np.array_equal(cert.classical_target, target)
             assert cert.noise_channel is None
             zero += 1
         else:
-            assert np.array_equal(cert.noise_channel.jam, noise)
+            assert cert.lower_bound <= value + 1e-12
+            assert cert.value >= value - gap - 1e-12
         n += 1
     assert n >= 150 and zero >= 40  # every d = 1 channel is classical
 

@@ -132,7 +132,28 @@ def test_instance_json():
     obj = ser.instance_to_json(inst)
     json.dumps(obj)
     assert len(obj["povm"]) == 2
-    assert obj["iteration_log"][0]["iter"] == 0
+    first = [rec for rec in inst.iteration_log if rec["restart"] == 0]
+    assert obj["iteration_log"][0] == {"restart": 0, "iterations": first[-1]["iter"],
+                                       "start": first[0]["objective"], "final": first[-1]["objective"]}
+
+
+def test_instance_json_summarises_each_restart():
+    gate = chn.random_channel(Rng(98), 3, 2)
+    scs = [sup.sample(Rng(99), 3), sup.sample(Rng(100), 3)]
+    inst = coh.discrimination_seesaw(gate, scs, restarts=4, rng=Rng(101))
+    rows = ser.instance_to_json(inst)["iteration_log"]
+    assert [row["restart"] for row in rows] == [0, 1, 2, 3]
+    assert sum(row["iterations"] + 1 for row in rows) == len(inst.iteration_log)
+    assert abs(max(row["final"] for row in rows) - inst.p_succ) <= 1e-12
+    assert all(row["start"] <= row["final"] for row in rows)
+
+
+def test_certificate_json_carries_the_dual_bound_not_the_dual():
+    cert = coh.robustness(chn.random_channel(Rng(102), 3, 2))
+    obj = ser.certificate_to_json(cert)
+    assert obj["lower_bound"] == cert.lower_bound <= cert.value
+    assert obj["primal_dual_gap"] == cert.value - cert.lower_bound
+    assert "dual" not in obj
 
 
 def test_dumps_deterministic_and_sorted():
