@@ -338,11 +338,12 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
     predictor-corrector (sigma = (mu_aff/mu)^3), both solves sharing one
     Cholesky of X and one of Z, and each cone takes 0.98 of its distance to
     the boundary. The KKT matrix [[H, A^T], [A, 0]] is built once; an
-    iteration rewrites H = Re(X^-1 o Z^T) only. It stops when the certified
-    gap value - lower_bound is at most gap_tol, lower_bound coming from Z
-    rescaled to exact dual feasibility (_repair_dual). A lost Cholesky, or
-    MAX_PD_ITERS iterations short of gap_tol, raises SolverError naming the
-    gap reached. The certificate is re-verified before returning.
+    iteration rewrites H = Re(X^-1 o Z^T) only. Once <X, Z> <= gap_tol, Z is
+    rescaled to exact dual feasibility (_repair_dual), and the method stops
+    when the certified gap value - lower_bound is at most gap_tol. A lost
+    Cholesky, or MAX_PD_ITERS iterations short of gap_tol, raises
+    SolverError naming the gap reached. The certificate is re-verified
+    before returning.
     """
     d = ch.dim
     n = d * d
