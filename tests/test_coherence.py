@@ -373,6 +373,82 @@ def test_robustness_grid_matches_exhaustive_scan():
     assert abs(coh.robustness_grid(dephasing) - 0.6) < 1e-3
 
 
+def _exhaustive_grid(ch, resolution):
+    jam = ch.jam
+    o = -(jam - np.diag(np.diag(jam)))
+    fr = np.linspace(0.0, 1.0, int(round(1.0 / resolution)) + 1)
+    aa, bb = np.meshgrid(fr, fr, indexing="ij")
+    return 2.0 * float(coh._grid_smin(o, aa.ravel(), bb.ravel()).min())
+
+
+def _near_classical_qubits():
+    # (1 - lam) J(E) + lam J(Delta o E): output dephasing keeps the jam
+    # entries whose two output indices agree
+    out_diag = np.kron(np.eye(2), np.ones((2, 2)))
+    rng = Rng(82)
+    for t in range(4):
+        ch = chn.random_channel(rng.derive(t), 2, 1 + t % 4)
+        for lam in (0.5, 0.9, 0.99):
+            yield chn.Channel(dim=2, jam=(1.0 - lam) * ch.jam + lam * out_diag * ch.jam)
+
+
+def test_robustness_grid_matches_exhaustive_scan_near_classical_and_dephasing():
+    cases = list(_near_classical_qubits())
+    # dephasing minima sit at the corner alpha = 1, beta = 0
+    cases += [chn.dephasing_channel(chn.dephasing_c(np.array([[1.0, c], [c, 1.0]])))
+              for c in (0.05, 0.5, 0.95)]
+    for ch in cases:
+        assert coh.robustness_grid(ch, 1e-2) == _exhaustive_grid(ch, 1e-2)
+
+
+@pytest.mark.parametrize("resolution", [0.5, 0.25, 0.1])
+def test_robustness_grid_matches_exhaustive_scan_at_coarse_resolutions(resolution):
+    rng = Rng(83)
+    cases = [chn.unitary_channel(HAD)] + list(_near_classical_qubits())
+    cases += [chn.random_channel(rng.derive(t), 2, 1 + t % 4) for t in range(8)]
+    for ch in cases:
+        assert coh.robustness_grid(ch, resolution) == _exhaustive_grid(ch, resolution)
+
+
+def test_robustness_grid_interior_point_count(monkeypatch):
+    smin = coh._grid_smin
+    interior = [0]
+
+    def counted(o, al, be):
+        interior[0] += int(((al > 0) & (al < 1) & (be > 0) & (be < 1)).sum())
+        return smin(o, al, be)
+
+    monkeypatch.setattr(coh, "_grid_smin", counted)
+    rng = Rng(81)
+    cases = [chn.unitary_channel(HAD)]
+    cases += [chn.random_channel(rng.derive(t), 2, 1 + t % 4) for t in range(8)]
+    for ch in cases:
+        interior[0] = 0
+        coh.robustness_grid(ch)
+        assert 0 < interior[0] <= 1500
+
+
+def test_robustness_grid_certification_window_grows_to_the_minimum(monkeypatch):
+    # a narrow tilted valley u^2 + (8 v)^2, (u, v) rotated by 1.4 rad about
+    # (0.5, 0.6), is convex and so quasiconvex like s; the zoom ends off its
+    # grid minimum, and only the doubling certification window reaches it
+    c, s = math.cos(1.4), math.sin(1.4)
+    sizes = []
+
+    def valley(o, al, be):
+        sizes.append(al.size)
+        u = c * (al - 0.5) + s * (be - 0.6)
+        v = -s * (al - 0.5) + c * (be - 0.6)
+        return u**2 + (8.0 * v) ** 2
+
+    monkeypatch.setattr(coh, "_grid_smin", valley)
+    value = coh.robustness_grid(chn.unitary_channel(HAD), 1e-2)
+    assert sizes[-1] > 5 * 5  # the last window is wider than the first
+    fr = np.linspace(0.0, 1.0, 101)
+    aa, bb = np.meshgrid(fr, fr, indexing="ij")
+    assert value == 2.0 * float(valley(None, aa.ravel(), bb.ravel()).min())
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-3, 0.51, 2.0, math.nan, math.inf])
 def test_robustness_grid_rejects_bad_resolution(bad):
     with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
