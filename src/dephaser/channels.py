@@ -54,7 +54,7 @@ def assert_correlation(c: np.ndarray) -> np.ndarray:
     diag_dev = np.abs(np.diag(c) - 1.0).max()
     if diag_dev > TOL_PSD:
         raise ValueError(f"diagonal entries deviate from 1 by {diag_dev:.3e}")
-    w, _ = np.linalg.eigh(c)  # checked Hermitian above
+    w = np.linalg.eigvalsh(c)  # checked Hermitian above
     if w.min() < -TOL_PSD:
         raise ValueError(f"not PSD: min eigenvalue {w.min():.3e}")
     return c
@@ -73,7 +73,7 @@ def assert_state(rho: np.ndarray) -> np.ndarray:
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TOL_PSD:
         raise ValueError(f"trace is {tr}, not 1")
-    w, _ = np.linalg.eigh(rho)  # checked Hermitian above
+    w = np.linalg.eigvalsh(rho)  # checked Hermitian above
     if w.min() < -TOL_PSD:
         raise ValueError(f"state not PSD: min eigenvalue {w.min():.3e}")
     return rho
@@ -85,7 +85,7 @@ def check_channel(ch: Channel, tol: float = TOL_PSD) -> None:
     jam = assert_hermitian(ch.jam)
     if jam.shape != (d * d, d * d):
         raise ValueError(f"jam shape {jam.shape} does not match dim {d}")
-    w, _ = np.linalg.eigh(jam)  # checked Hermitian above
+    w = np.linalg.eigvalsh(jam)  # checked Hermitian above
     if w.min() < -tol:
         raise ValueError(f"not completely positive: min eigenvalue {w.min():.3e}")
     tp_dev = np.abs(partial_trace(jam, (d, d), 1) - np.eye(d) / d).max()
@@ -287,16 +287,22 @@ def classical_version(ch: Channel) -> Channel:
 
 
 def random_dephasing(rng: Rng, d: int) -> DephasingChannelC:
-    """Random correlation matrix: the Gram matrix of d Haar-random unit vectors."""
+    """Random correlation matrix: the Gram matrix of d Haar-random unit
+    vectors. It is a correlation matrix by proof, so it is not re-validated:
+    a Gram matrix is Hermitian PSD, and its diagonal holds the vectors'
+    unit norms."""
     vs = np.stack([haar_vector(rng.derive(i), d) for i in range(d)], axis=1)
-    return dephasing_c(vs.conj().T @ vs)
+    return DephasingChannelC(dim=d, c=vs.conj().T @ vs)
 
 
 def random_channel(rng: Rng, d: int, rank: int) -> Channel:
-    """Haar-random channel of the given Kraus rank (isometry d -> d * rank)."""
+    """Haar-random channel of the given Kraus rank (isometry d -> d * rank).
+    The Kraus operators are cut from the first d columns V of a Haar
+    unitary, so sum_e K_e^dag K_e = V^dag V = 1 by proof and they are not
+    re-checked."""
     if not 1 <= rank <= d * d:
         raise ValueError(f"rank must be in [1, {d * d}], got {rank}")
     u = haar_unitary(rng, d * rank)
     v = u[:, :d]
     ks = [v.reshape(d, rank, d)[:, e, :] for e in range(rank)]
-    return from_kraus(ks)
+    return Channel(dim=d, jam=_jam_from_kraus(ks, d))

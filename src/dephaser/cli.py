@@ -186,9 +186,16 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+class _InvalidJSON(Exception):
+    """An input file that is not UTF-8 JSON Python can read (exit 2)."""
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or UTF-8, or an int literal past Python's digit limit
+            raise _InvalidJSON(exc) from None
 
 
 def _cmd_sample(args, tol: dict, seed: int):
@@ -362,7 +369,7 @@ def main(argv=None) -> int:
 
     try:
         return _run(args, tol)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except _InvalidJSON as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # unreadable input or unwritable --out

@@ -130,13 +130,19 @@ def _np_test_optimum(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
     return _np_test_optima(rho[None], sigma[None], eps)[0]
 
 
-def _np_test_optima(rhos: np.ndarray, sigmas: np.ndarray, eps: float) -> list[float]:
+def _np_test_optima(rhos: np.ndarray, sigmas: np.ndarray, eps: float,
+                    min_only: bool = False) -> list[float]:
     """_np_test_optimum of each pair (rhos[i], sigmas[i]) of two (k, n, n)
     stacks. Every search keeps its own scalar step logic (_np_search); each
     round probes the searches still bracketing with one stacked eigh of
     rho_i - t_i sigma_i and one stacked congruence, and numpy's stacked eigh
     and matmul give every slice the bits of the 2-D call, so each value is
-    bit-identical to a search run alone."""
+    bit-identical to a search run alone.
+
+    With min_only, only the smallest value is wanted, and a pair that
+    provably cannot attain it leaves the search and skips the final
+    evaluation; it reads math.inf (see dh_channel_divergence_lower for the
+    bounds and margins)."""
     if eps < 1e-15:
         # exact: any feasible Q acts as identity on supp(rho), and the
         # support projector itself is feasible, so it is optimal
@@ -149,7 +155,12 @@ def _np_test_optima(rhos: np.ndarray, sigmas: np.ndarray, eps: float) -> list[fl
     target = 1.0 - eps
     ev_r = np.linalg.eigvalsh(rhos)
     ev_s = np.linalg.eigvalsh(sigmas)
-    k = len(rhos)
+    k, n = rhos.shape[:2]
+    ulps = n * np.finfo(float).eps
+    # roundoff of the positive-part sum: n ulps of ||rho|| + t ||sigma||
+    round_r, round_s = ulps * np.abs(ev_r).max(-1), ulps * np.abs(ev_s).max(-1)
+    lower, upper = np.full(k, -math.inf), math.inf
+    kept = np.ones(k, dtype=bool)
     pairs = np.stack([rhos, sigmas], axis=1)  # (k, 2, n, n): one matmul pair maps rho and sigma together
     searches = [_np_search(er, es, target) for er, es in zip(ev_r, ev_s)]
     ts = [s.send(None) for s in searches]
@@ -157,20 +168,33 @@ def _np_test_optima(rhos: np.ndarray, sigmas: np.ndarray, eps: float) -> list[fl
     live = list(range(k))
     while live:
         rs = pairs if len(live) == k else pairs[live]
-        w, v = np.linalg.eigh(rs[:, 0] - np.array(ts)[:, None, None] * rs[:, 1])
+        t = np.array(ts)
+        w, v = np.linalg.eigh(rs[:, 0] - t[:, None, None] * rs[:, 1])
         congruent = v.conj().swapaxes(-1, -2)[:, None] @ rs @ v[:, None]
+        if min_only:  # the bounds of dh_channel_divergence_lower at this probe
+            h, mass = (congruent.diagonal(0, -2, -1).real * (w > 0)[:, None]).sum(-1).T
+            slack = 1e-12 + round_r[live] + t * round_s[live]
+            lower[live] = np.maximum(lower[live], (target - slack - np.maximum(w, 0.0).sum(-1)) / t)
+            upper = min(upper, float(np.where(h >= target - 1e-15, mass, math.inf).min()))
+            kept &= lower <= upper + 1e-9 * abs(upper) + ulps
         still, ts = [], []
         for i, wi, (ri, si) in zip(live, w, congruent):
+            if not kept[i]:
+                continue
             try:
                 ts.append(searches[i].send((wi, ri, si)))
                 still.append(i)
             except StopIteration as done:
                 brackets[i] = done.value
         live = still
-    ts = np.array([0.5 * (lo + hi) for lo, hi in brackets])
+    idx = np.flatnonzero(kept)
+    if idx.size < k:
+        rhos, sigmas, ev_s = rhos[idx], sigmas[idx], ev_s[idx]
+    ts = np.array([0.5 * (lo + hi) for lo, hi in (brackets[i] for i in idx)])
     ws, vs = np.linalg.eigh(rhos - ts[:, None, None] * sigmas)
-    out = []
-    for (lo, hi), es, w, v, rho, sigma in zip(brackets, ev_s, ws, vs, rhos, sigmas):
+    out = [math.inf] * k
+    for i, es, w, v, rho, sigma in zip(idx, ev_s, ws, vs, rhos, sigmas):
+        lo, hi = brackets[i]
         band = max(1e-13, 10.0 * (hi - lo) * max(1.0, np.abs(es).max()))
         p = v[:, w > band]
         bm = v[:, np.abs(w) <= band]
@@ -185,7 +209,7 @@ def _np_test_optima(rhos: np.ndarray, sigmas: np.ndarray, eps: float) -> list[fl
             x = need / gb
         pv = float((p.conj().T @ sigma @ p).trace().real) if p.size else 0.0
         vb = float((bm.conj().T @ sigma @ bm).trace().real) if bm.size else 0.0
-        out.append(pv + x * vb)
+        out[i] = pv + x * vb
     return out
 
 
@@ -284,6 +308,21 @@ def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
     (_np_test_optima): each round is one batched eigh over the candidates
     still bracketing, and every candidate's value is bit-identical to its
     own hypothesis_test_divergence search.
+
+    Only the maximum is returned, so the search is a branch-and-bound over
+    the candidates. Each probe at a threshold t bounds the candidate's
+    optimal type-II error beta from the eigenvalues w of rho - t sigma and
+    the congruent rho and sigma it already has, with no extra eigensolve:
+    weak duality gives beta >= (1 - eps - sum_{w>0} w)/t, an upper bound on
+    its D_H, and where the projector P+ onto w > 0 is feasible,
+    beta <= Tr(P+ sigma), a lower bound. The sum is first raised by a
+    roundoff allowance of n ulps of ||rho|| + t ||sigma|| (n = d^2) and by
+    the 1e-12 feasibility slack of the final evaluation. After each round a
+    candidate whose lower bound on beta is above the smallest feasible
+    Tr(P+ sigma) so far, plus a relative margin of 1e-9 and n ulps, cannot
+    hold the maximum: it leaves the search and skips the final evaluation.
+    The candidates kept run unchanged, so the maximum has the same bits as
+    without the pruning.
     """
     if e1.dim != e2.dim:
         raise ValueError("channels must have equal dims")
@@ -297,7 +336,7 @@ def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
     psis = np.array([phi] + [haar_vector(rng.derive(i), d * d) for i in range(1, restarts + 1)])
     outs = lifted.forward(psis)
     best = 0.0
-    for val in _np_test_optima(outs[:, 0], outs[:, 1], eps):
+    for val in _np_test_optima(outs[:, 0], outs[:, 1], eps, min_only=True):
         best = max(best, _bits(val))
     return best
 

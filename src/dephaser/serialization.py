@@ -44,6 +44,9 @@ def _json_int(obj: dict, field: str, what: str) -> int:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """The complex matrix of a decoded matrix JSON object. Well-formed data
+    is converted in one np.array call; anything else goes through
+    _decode_entries, which names the first bad entry."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
@@ -55,13 +58,26 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(f"matrix JSON field 'data' must be a list, got {data!r}")
     if len(data) != rows * cols:
         raise ValueError(f"matrix JSON has {len(data)} entries, expected {rows}x{cols}")
-    flat = np.empty(rows * cols, dtype=complex)
+    try:
+        pairs = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is None or pairs.shape != (rows * cols, 2) or not np.isfinite(pairs).all():
+        return _decode_entries(data, cols).reshape(rows, cols)
+    return pairs.view(complex).reshape(rows, cols)
+
+
+def _decode_entries(data: list, cols: int) -> np.ndarray:
+    """The flat complex array of data, entry by entry, raising a ValueError
+    that names the first entry that is not a [re, im] pair of finite
+    numbers; a number too large for a float counts as not a number."""
+    flat = np.empty(len(data), dtype=complex)
     for pos, entry in enumerate(data):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ValueError(f"matrix entry {pos} is not a [re, im] pair")
         try:
             flat[pos] = complex(float(entry[0]), float(entry[1]))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"matrix entry {pos} (row {pos // cols}, col {pos % cols}) "
                              f"is not a pair of numbers: {entry!r}") from None
     bad = np.flatnonzero(~np.isfinite(flat))
@@ -69,7 +85,7 @@ def matrix_from_json(obj) -> np.ndarray:
         pos = int(bad[0])
         raise ValueError(f"matrix entry {pos} (row {pos // cols}, col {pos % cols}) "
                          f"is non-finite: {data[pos]!r}")
-    return flat.reshape(rows, cols)
+    return flat
 
 
 def encode_float(x: float):

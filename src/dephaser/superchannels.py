@@ -115,7 +115,7 @@ def validate(c: np.ndarray, d: int, tol: float = TOL_PSD) -> DephasingSuperchann
         idx = (0, int(bad[0, 0]) + 1, int(bad[0, 1]), int(bad[0, 2]))
         ch = _block_witness(d, idx)
         return Violation(BLOCKS_UNEQUAL, idx, _tp_defect(ch, c, d), ch)
-    w, _ = np.linalg.eigh(c)  # checked Hermitian above
+    w = np.linalg.eigvalsh(c)  # checked Hermitian above
     if w.min() < -tol:
         return Violation(NOT_PSD, (), float(w.min()), None)
     return DephasingSuperchannel(dim=d, c=c)
@@ -223,12 +223,21 @@ def from_unitaries(us, vs) -> DephasingSuperchannel:
     for w in (*us, *vs):
         if w.shape != (m, m) or not np.abs(w.conj().T @ w - np.eye(m)).max() <= TOL_UNIT:
             raise ValueError("memory operators must be unitary and equally sized")
+    return superchannel(_correlation(us, vs), d)
+
+
+def _correlation(us, vs) -> np.ndarray:
+    """C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)> of from_unitaries for
+    complex unitaries, unchecked. For unitaries it is a valid superchannel's
+    C: a Gram matrix is Hermitian PSD, each psi_(ik) is a unit vector, and
+    the diagonal block C[(i,k), (i,k')] = <U_k' 0| V_i^dag V_i |U_k 0> =
+    <U_k' 0|U_k 0> is the same for every i."""
+    m, d = us[0].shape[0], len(us)
     psi = np.zeros((m, d * d), dtype=complex)
     for i in range(d):
         for k in range(d):
             psi[:, i * d + k] = vs[i] @ us[k][:, 0]
-    c = (psi.conj().T @ psi).T
-    return superchannel(c, d)
+    return (psi.conj().T @ psi).T
 
 
 def identity_superchannel(d: int) -> DephasingSuperchannel:
@@ -237,11 +246,12 @@ def identity_superchannel(d: int) -> DephasingSuperchannel:
 
 
 def sample(rng: Rng, d: int) -> DephasingSuperchannel:
-    """Haar-random dephasing superchannel from random memory unitaries."""
+    """Haar-random dephasing superchannel from random memory unitaries;
+    valid by proof (see _correlation), so it is not re-validated."""
     us = [haar_unitary(rng.derive(k), d * d) for k in range(d)]
     vs = [np.eye(d * d, dtype=complex)]
     vs += [haar_unitary(rng.derive(d + i), d * d) for i in range(1, d)]
-    return from_unitaries(us, vs)
+    return DephasingSuperchannel(dim=d, c=_correlation(us, vs))
 
 
 def _nearest_product(c: np.ndarray, d: int) -> tuple[float, float]:

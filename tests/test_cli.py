@@ -161,6 +161,28 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
     assert "invalid JSON input" in err
 
 
+def _channel_text_with_entry(literal: str) -> str:
+    """A d = 2 channel file whose first Jamiolkowski entry is the raw JSON literal."""
+    return '{"dim": 2, "jamiolkowski": {"rows": 4, "cols": 4, "data": [[%s, 0]%s]}}' % (
+        literal, ", [0, 0]" * 15)
+
+
+def test_overflowing_integer_entry_is_not_a_number(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(_channel_text_with_entry("9" * 401))
+    code, out, err = run_cli(capsys, "coherence", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: matrix entry 0 (row 0, col 0) is not a pair of numbers: [999")
+
+
+def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(_channel_text_with_entry("9" * 5000))
+    code, out, err = run_cli(capsys, "coherence", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON input: Exceeds the limit") and err.count("\n") == 1
+
+
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "out.json"
     code, out, err = run_cli(capsys, "sample", "--dim", "2", "--out", str(target))

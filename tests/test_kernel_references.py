@@ -400,6 +400,85 @@ def test_dh_lower_eigensolve_count(monkeypatch):
     assert stacked <= max(counts) + 3 < sum(counts)
 
 
+def _pruned_min_matches(rhos, sigmas, eps):
+    """The min_only search against the full one: same minimum, bit for bit;
+    every kept value as in the full search, every dropped one (inf) no
+    smaller than the minimum. Returns the min_only values."""
+    full = coh._np_test_optima(rhos, sigmas, eps)
+    pruned = coh._np_test_optima(rhos, sigmas, eps, min_only=True)
+    assert min(pruned) == min(full)
+    for got, want in zip(pruned, full):
+        assert got == want or (got == math.inf and want >= min(full))
+    return pruned
+
+
+def _random_state(rng, n):
+    g = rng.complex_normal((n, n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_dh_pruning_keeps_near_tie_minimum():
+    # candidates (rho, sigma_delta), sigma_delta = (1 - delta) sigma + delta tau,
+    # whose optima differ from the base pair's by about delta = 1e-12 .. 1e-6
+    dropped = 0
+    for n in (4, 9, 16):
+        for trial in range(3):
+            r = Rng(28_000 + 10 * n + trial)
+            rho, sigma = _random_state(r.derive(1), n), _random_state(r.derive(2), n)
+            taus = [_random_state(r.derive(3 + j), n) for j in range(2)]
+            sigmas = [sigma] + [(1 - delta) * sigma + delta * tau
+                                for delta in (1e-12, 1e-10, 1e-8, 1e-6) for tau in taus]
+            order = np.argsort(r.derive(9).uniform(size=len(sigmas)))
+            sigmas = np.array(sigmas)[order]
+            rhos = np.array([rho] * len(sigmas))
+            for eps in (1e-3, 0.1, 0.5):
+                dropped += _pruned_min_matches(rhos, sigmas, eps).count(math.inf)
+    assert dropped > 0  # the margins still let clearly worse candidates go
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dh_pruning_on_ties_and_infinite_divergence(d):
+    other = chn.random_channel(Rng(29_000 + d), d, d * d)
+    ident, shift = chn.identity_channel(d), chn.unitary_channel(np.roll(np.eye(d), 1, axis=0))
+    for eps in DH_EPS[1:]:
+        rng = Rng(29_100 + d)
+        # identical channels: every candidate ties at 1 - eps, none is dropped
+        outs = dh_candidates(other, other, 8, rng)
+        assert math.inf not in _pruned_min_matches(outs[:, 0], outs[:, 1], eps)
+        got = coh.dh_channel_divergence_lower(other, other, eps, restarts=8, rng=rng)
+        assert got == ref_dh_channel_divergence_lower(other, other, eps, 8, rng)
+        # the maximally entangled input tells the identity from the shift: D = inf
+        outs = dh_candidates(ident, shift, 8, rng)
+        _pruned_min_matches(outs[:, 0], outs[:, 1], eps)
+        assert coh.dh_channel_divergence_lower(ident, shift, eps, restarts=8, rng=rng) == math.inf
+
+
+def test_dh_lower_pruning_probes_fewer_slices(monkeypatch):
+    eigh = np.linalg.eigh
+    slices = [0]
+
+    def counted(a):
+        if a.ndim == 3:
+            slices[0] += a.shape[0]
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    pruned = full = 0
+    for j in range(6):
+        rng = Rng(30_000 + j)
+        gate = chn.random_channel(rng.derive(1), 3, 1 + j)
+        classical = chn.classical_version(gate)
+        outs = dh_candidates(gate, classical, 8, rng.derive(2))
+        slices[0] = 0
+        coh.dh_channel_divergence_lower(gate, classical, 0.1, restarts=8, rng=rng.derive(2))
+        pruned += slices[0]
+        slices[0] = 0
+        coh._np_test_optima(outs[:, 0], outs[:, 1], 0.1)
+        full += slices[0]
+    assert pruned <= 0.7 * full
+
+
 def test_robustness_matches_reference():
     # the frozen barrier's value is primal feasible and its gap bounds its
     # suboptimality, so R lies in [ref.value - ref.gap, ref.value]; the

@@ -54,6 +54,55 @@ def test_matrix_from_json_errors():
         assert where in str(err.value)
 
 
+def ref_decode_entries(data, rows, cols):
+    """The per-entry decode matrix_from_json used for every matrix before it
+    converted well-formed data in one call (an over-large int literal counts
+    as not a number)."""
+    flat = np.empty(rows * cols, dtype=complex)
+    for pos, entry in enumerate(data):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise ValueError(f"matrix entry {pos} is not a [re, im] pair")
+        try:
+            flat[pos] = complex(float(entry[0]), float(entry[1]))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"matrix entry {pos} (row {pos // cols}, col {pos % cols}) "
+                             f"is not a pair of numbers: {entry!r}") from None
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        pos = int(bad[0])
+        raise ValueError(f"matrix entry {pos} (row {pos // cols}, col {pos % cols}) "
+                         f"is non-finite: {data[pos]!r}")
+    return flat.reshape(rows, cols)
+
+
+NUMBERS = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**70, 2**70)
+           | st.sampled_from([-0.0, 5e-324, 2**53 + 1, 2**64 + 1, True]))
+ODD_PARTS = (st.floats() | st.integers(10**300, 10**320) | st.none() | st.text(max_size=6)
+             | st.sampled_from(["1.5", " -2e3 ", "1_0", "nan", "-inf", "0x1", "1e400"])
+             | st.lists(st.floats(), max_size=2) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+GOOD_ENTRIES = st.tuples(NUMBERS, NUMBERS).map(list)
+ODD_ENTRIES = st.lists(NUMBERS | ODD_PARTS, max_size=3) | ODD_PARTS
+
+
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), odd=st.integers(0, 2), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_matrix_from_json_matches_entrywise_decode(rows, cols, odd, data):
+    # odd = 0 draws only well-formed pairs, the one-conversion path
+    entries = GOOD_ENTRIES if odd == 0 else GOOD_ENTRIES | ODD_ENTRIES
+    values = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    obj = {"rows": rows, "cols": cols, "data": values}
+    try:
+        want = ref_decode_entries(values, rows, cols)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            ser.matrix_from_json(obj)
+        assert str(err.value) == str(exc)
+        return
+    got = ser.matrix_from_json(obj)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_encode_float():
     assert ser.encode_float(1.5) == 1.5
     assert ser.encode_float(math.inf) == "inf"
