@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -268,23 +269,29 @@ class _Lifted:
     """E_m (x) I for channels E_1..E_M of one dim d, system first in the
     row-major vec (identities in discrimination_seesaw), on stacks of k
     inputs. forward(psis) maps (k, d^2) pure inputs to the (k, M, d^2, d^2)
-    outputs on |psi><psi|; dual(bs) maps (k, M, d^2, d^2) to the (k, d^2, d^2)
-    sums sum_m (E_m (x) I)^dag(bs[:, m]), one matmul per input of the stacked
-    W_m^T, W_m = sum_k conj(K_k) (x) K_k, on bs regrouped [a,i,b,j] ->
-    [(a,b),(i,j)]. Each slice is the arithmetic of a lone input, bit for bit.
-    Kraus lists are zero-padded to one rank, which adds only zero terms."""
+    outputs on |psi><psi|: one (M r d, d) @ (d, d) product per input forms
+    K Psi for all M r stacked Kraus operators K at once. dual(bs) maps
+    (k, M, d^2, d^2) to the (k, d^2, d^2) sums sum_m (E_m (x) I)^dag(bs[:, m]),
+    one matmul per input of the stacked W_m^T, W_m = sum_k conj(K_k) (x) K_k,
+    on bs regrouped [a,i,b,j] -> [(a,b),(i,j)]; that matrix (dual_matrix) is
+    built on first use, so forward-only callers never build it. Each slice
+    is the arithmetic of a lone input, bit for bit. Kraus lists are
+    zero-padded to one rank, which adds only zero terms."""
 
     def __init__(self, chs):
         kss = [to_kraus(ch) for ch in chs]
         d, r = chs[0].dim, max(map(len, kss))
         self.ks = np.array([ks + [np.zeros((d, d))] * (r - len(ks)) for ks in kss], dtype=complex)
-        w = np.einsum("mkaA,mkbB->ABmab", self.ks.conj(), self.ks)
-        self.dual_matrix = w.reshape(d * d, -1)
+
+    @cached_property
+    def dual_matrix(self) -> np.ndarray:
+        d = self.ks.shape[-1]
+        return np.einsum("mkaA,mkbB->ABmab", self.ks.conj(), self.ks).reshape(d * d, -1)
 
     def forward(self, psis: np.ndarray) -> np.ndarray:
         m, r, d, _ = self.ks.shape
         k = len(psis)
-        a = (self.ks @ psis.reshape(k, 1, 1, d, d)).reshape(k, m, r, d * d)
+        a = (self.ks.reshape(-1, d) @ psis.reshape(k, d, d)).reshape(k, m, r, d * d)
         return a.transpose(0, 1, 3, 2) @ a.conj()
 
     def dual(self, bs: np.ndarray) -> np.ndarray:
@@ -647,12 +654,15 @@ class DiscriminationInstance:
 
 
 def _povm_candidate(taus: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Helstrom (m = 2) or pretty-good (m > 2) POVM per (M, n, n) slice, from one batched eigh."""
+    """Helstrom (m = 2) or pretty-good (m > 2) POVM per (M, n, n) slice, from
+    one batched eigh; the Helstrom pairs are written into one (k, 2, n, n) array."""
     w, v = np.linalg.eigh(taus[:, 0] - taus[:, 1] if m == 2 else taus.sum(axis=1) / m)
     if m == 2:
+        out = np.empty((len(taus), 2, n, n), dtype=complex)
         # + 0.0 turns the -0.0 entries of an empty projector into +0.0
-        b1 = (v * (w > 0)[:, None, :]) @ v.conj().swapaxes(-1, -2) + 0.0
-        return np.stack([b1, np.eye(n) - b1], axis=1)
+        out[:, 0] = (v * (w > 0)[:, None, :]) @ v.conj().swapaxes(-1, -2) + 0.0
+        np.subtract(np.eye(n), out[:, 0], out=out[:, 1])
+        return out
     winv = np.where(w > 1e-12, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
     si = (v * winv[:, None, :]) @ v.conj().transpose(0, 2, 1)
     pker = np.stack([np.eye(n) - s @ s.conj().T for s in (vi[:, wi > 1e-12] for wi, vi in zip(w, v))])
@@ -675,7 +685,11 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     evaluated success probability of an explicit strategy.
 
     All restarts advance as one stack, each leaving it at its own stop test;
-    each restart's arithmetic is its own, bit for bit as if it ran alone. The
+    each restart's arithmetic is its own, bit for bit as if it ran alone.
+    While every restart is active the stacks are passed whole, as views; an
+    iteration in which no restart's input moves skips the forward map. The
+    loop keeps each restart's objectives as a list of floats, and the
+    iteration_log records are built from those lists once, at the end. The
     reported strategy is the lowest-index restart with the strictly largest
     value; the baseline (maximally entangled input, uniform POVM) stays when
     no restart beats it.
@@ -705,32 +719,36 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     taus = lifted.forward(psi)
     povm = np.repeat(uniform[None], restarts, axis=0)
     cur = [_strategy_value(uniform, t, m) for t in taus]
-    logs = [[{"restart": rs, "iter": 0, "objective": c}] for rs, c in enumerate(cur)]
+    traces = [[c] for c in cur]  # each restart's objective after iterations 0, 1, ...
     active = list(range(restarts))
-    for it in range(1, SEESAW_ITERS + 1):
+    for _ in range(SEESAW_ITERS):
         if not active:
             break
-        for i, cand in zip(active, _povm_candidate(taus[active], m, n)):
+        every = len(active) == restarts  # views of the full stacks, not copies
+        for i, cand in zip(active, _povm_candidate(taus if every else taus[active], m, n)):
             cand_val = _strategy_value(cand, taus[i], m)
             if cand_val > cur[i]:
                 povm[i], cur[i] = cand, cand_val
-        w, v = np.linalg.eigh(lifted.dual(povm[active]) / m)
+        w, v = np.linalg.eigh(lifted.dual(povm if every else povm[active]) / m)
         up = [j for j, i in enumerate(active) if w[j, -1] > cur[i] + 1e-15]
-        moved = [active[j] for j in up]
-        psi[moved] = v[up, :, -1]
-        taus[moved] = lifted.forward(psi[moved])
-        for i in moved:
-            cur[i] = _strategy_value(povm[i], taus[i], m)
+        if up:
+            moved = [active[j] for j in up]
+            psi[moved] = v[up, :, -1]
+            taus[moved] = lifted.forward(psi[moved])
+            for i in moved:
+                cur[i] = _strategy_value(povm[i], taus[i], m)
         for i in active:
-            logs[i].append({"restart": i, "iter": it, "objective": cur[i]})
+            traces[i].append(cur[i])
         active = [i for i in active
-                  if not (it > 2 and logs[i][-1]["objective"] - logs[i][-3]["objective"] < 1e-13)]
+                  if not (len(traces[i]) > 3 and traces[i][-1] - traces[i][-3] < 1e-13)]
     for i in range(restarts):
         if cur[i] > best_val:
             best_val, best_psi, best_povm = cur[i], psi[i], povm[i]
     p = _strategy_value(best_povm, lifted.forward(best_psi[None])[0], m)
+    log = tuple({"restart": rs, "iter": it, "objective": obj}
+                for rs, trace in enumerate(traces) for it, obj in enumerate(trace))
     return DiscriminationInstance(gate, scs, np.outer(best_psi, best_psi.conj()),
-                                  tuple(best_povm), p, tuple(rec for log in logs for rec in log))
+                                  tuple(best_povm), p, log)
 
 
 def robustness_bound_check(inst: DiscriminationInstance, cert: RobustnessCertificate,

@@ -7,6 +7,8 @@ reads global random state, so every sample stream is reproducible from its
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .linalg import partial_trace
@@ -15,11 +17,16 @@ _MASK64 = (1 << 64) - 1
 
 
 class Rng:
-    """Deterministic random stream identified by a 64-bit unsigned seed."""
+    """Deterministic random stream identified by a 64-bit unsigned seed. Its
+    PCG64 generator is built on the first draw, so a stream that is only
+    derived from never builds one."""
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed) & _MASK64
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self.seed))
 
     def derive(self, offset: int) -> "Rng":
         """Independent stream for sub-task `offset` (seed + offset, wrapping)."""
@@ -42,14 +49,21 @@ class Rng:
 
 def haar_unitary(rng: Rng, d: int) -> np.ndarray:
     """Haar-distributed d x d unitary via Ginibre + QR with phase-fixed R diagonal."""
+    return haar_unitaries([rng], d)[0]
+
+
+def haar_unitaries(rngs, d: int) -> np.ndarray:
+    """One Haar unitary per stream, as a (len(rngs), d, d) stack: each stream
+    draws its own d x d Ginibre matrix, and one stacked QR and one phase fix
+    of the R diagonals give every slice the bits of haar_unitary alone."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    z = rng.complex_normal((d, d))
+    z = np.array([rng.complex_normal((d, d)) for rng in rngs])
     q, r = np.linalg.qr(z)
-    diag = np.diag(r).copy()
+    diag = r.diagonal(0, -2, -1)
     mags = np.abs(diag)
     phases = np.where(mags > 1e-300, diag / np.where(mags > 1e-300, mags, 1.0), 1.0)
-    return q * phases
+    return q * phases[:, None, :]
 
 
 def haar_vector(rng: Rng, d: int) -> np.ndarray:

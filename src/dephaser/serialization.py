@@ -44,7 +44,9 @@ def _json_int(obj: dict, field: str, what: str) -> int:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """The complex matrix of a decoded matrix JSON object. Well-formed data
+    """The complex matrix of a decoded matrix JSON object. Each entry must
+    be a [re, im] pair of JSON numbers (int or float; a string or a bool is
+    not one). Data whose entries one pass over the types finds well-formed
     is converted in one np.array call; anything else goes through
     _decode_entries, which names the first bad entry."""
     if not isinstance(obj, dict):
@@ -58,11 +60,14 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(f"matrix JSON field 'data' must be a list, got {data!r}")
     if len(data) != rows * cols:
         raise ValueError(f"matrix JSON has {len(data)} entries, expected {rows}x{cols}")
-    try:
-        pairs = np.array(data, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        pairs = None
-    if pairs is None or pairs.shape != (rows * cols, 2) or not np.isfinite(pairs).all():
+    pairs = None
+    if (set(map(type, data)) == {list} and set(map(len, data)) == {2}
+            and set(map(type, chain.from_iterable(data))) <= {int, float}):
+        try:
+            pairs = np.array(data, dtype=float)
+        except OverflowError:  # an int too large for a float
+            pass
+    if pairs is None or not np.isfinite(pairs).all():
         return _decode_entries(data, cols).reshape(rows, cols)
     return pairs.view(complex).reshape(rows, cols)
 
@@ -70,12 +75,15 @@ def matrix_from_json(obj) -> np.ndarray:
 def _decode_entries(data: list, cols: int) -> np.ndarray:
     """The flat complex array of data, entry by entry, raising a ValueError
     that names the first entry that is not a [re, im] pair of finite
-    numbers; a number too large for a float counts as not a number."""
+    numbers; a string, a bool and a number too large for a float count as
+    not a number."""
     flat = np.empty(len(data), dtype=complex)
     for pos, entry in enumerate(data):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ValueError(f"matrix entry {pos} is not a [re, im] pair")
         try:
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry):
+                raise TypeError
             flat[pos] = complex(float(entry[0]), float(entry[1]))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"matrix entry {pos} (row {pos // cols}, col {pos % cols}) "

@@ -25,7 +25,7 @@ from .linalg import (
     reshuffle,
 )
 from .channels import Channel, DephasingChannelC, from_jam, from_kraus
-from .sampling import Rng, haar_unitary
+from .sampling import Rng, haar_unitaries
 
 NOT_PSD = "NOT_PSD"
 DIAGONAL_NOT_ONE = "DIAGONAL_NOT_ONE"
@@ -247,11 +247,12 @@ def identity_superchannel(d: int) -> DephasingSuperchannel:
 
 def sample(rng: Rng, d: int) -> DephasingSuperchannel:
     """Haar-random dephasing superchannel from random memory unitaries;
-    valid by proof (see _correlation), so it is not re-validated."""
-    us = [haar_unitary(rng.derive(k), d * d) for k in range(d)]
-    vs = [np.eye(d * d, dtype=complex)]
-    vs += [haar_unitary(rng.derive(d + i), d * d) for i in range(1, d)]
-    return DephasingSuperchannel(dim=d, c=_correlation(us, vs))
+    valid by proof (see _correlation), so it is not re-validated. The 2d - 1
+    unitaries, U_k from stream k and V_i from stream d + i (V_0 = I), come
+    from one stacked QR (haar_unitaries), each drawn from its own stream."""
+    haar = haar_unitaries([rng.derive(k) for k in range(2 * d) if k != d], d * d)
+    vs = [np.eye(d * d, dtype=complex), *haar[d:]]
+    return DephasingSuperchannel(dim=d, c=_correlation(haar[:d], vs))
 
 
 def _nearest_product(c: np.ndarray, d: int) -> tuple[float, float]:

@@ -183,6 +183,16 @@ def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("error: invalid JSON input: Exceeds the limit") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("literal,shown", [('"1.5"', "['1.5', 0]"), ("true", "[True, 0]")],
+                         ids=["string", "boolean"])
+def test_non_number_entry_exits_3(tmp_path, capsys, literal, shown):
+    path = tmp_path / "odd.json"
+    path.write_text(_channel_text_with_entry(literal))
+    code, out, err = run_cli(capsys, "coherence", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: matrix entry 0 (row 0, col 0) is not a pair of numbers: {shown}\n"
+
+
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "out.json"
     code, out, err = run_cli(capsys, "sample", "--dim", "2", "--out", str(target))

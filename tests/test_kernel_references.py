@@ -257,6 +257,30 @@ def ref_dh_channel_divergence_lower(e1, e2, eps, restarts, rng):
     return best
 
 
+def ref_haar_unitary(rng, d):
+    """haar_unitary as it was before sampling stacked its QR: one Ginibre
+    matrix from the stream's own PCG64 generator, one QR, one phase fix."""
+    g = np.random.Generator(np.random.PCG64(rng.seed))
+    z = (g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diag(r).copy()
+    mags = np.abs(diag)
+    phases = np.where(mags > 1e-300, diag / np.where(mags > 1e-300, mags, 1.0), 1.0)
+    return q * phases
+
+
+def ref_sample(rng, d):
+    us = [ref_haar_unitary(rng.derive(k), d * d) for k in range(d)]
+    vs = [np.eye(d * d, dtype=complex)]
+    vs += [ref_haar_unitary(rng.derive(d + i), d * d) for i in range(1, d)]
+    return sup._correlation(us, vs)
+
+
+def ref_random_channel(rng, d, rank):
+    v = ref_haar_unitary(rng, d * rank)[:, :d]
+    return chn._jam_from_kraus([v.reshape(d, rank, d)[:, e, :] for e in range(rank)], d)
+
+
 def ref_residual(vec, basis):
     w = vec.astype(complex)
     for b in basis:
@@ -317,6 +341,46 @@ def test_seesaw_matches_single_restart_reference(d, m, restarts):
         assert len(inst.povm) == len(povm)
         assert all(np.array_equal(a, b) for a, b in zip(inst.povm, povm))
         assert inst.iteration_log == log
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_lifted_forward_matches_single_input_reference(d, m):
+    # Kraus ranks differ across the M channels, so the shorter lists are zero-padded
+    rng = Rng(24_000 + 10 * d + m)
+    chs = [chn.random_channel(rng.derive(j), d, 1 + j % (d * d)) for j in range(m)]
+    lifted = coh._Lifted(chs)
+    for k in (0, 1, 8):
+        psis = np.array([haar_vector(rng.derive(100 + i), d * d) for i in range(k)]).reshape(k, d * d)
+        got = lifted.forward(psis)
+        assert got.shape == (k, m, d * d, d * d)
+        assert all(np.array_equal(out, ref_forward(lifted, psi)) for out, psi in zip(got, psis))
+
+
+def test_dh_lower_never_builds_dual_matrix(monkeypatch):
+    built = []
+
+    class Recorded(coh._Lifted):
+        def __init__(self, chs):
+            super().__init__(chs)
+            built.append(self)
+
+    monkeypatch.setattr(coh, "_Lifted", Recorded)
+    ch = chn.random_channel(Rng(25_000), 3, 2)
+    coh.dh_channel_divergence_lower(ch, chn.classical_version(ch), 0.1, restarts=4, rng=Rng(1))
+    assert len(built) == 1 and "dual_matrix" not in vars(built[0])
+    scs = [sup.sample(Rng(25_001).derive(k), 3) for k in range(2)]
+    coh.discrimination_seesaw(ch, scs, restarts=2, rng=Rng(2))
+    assert len(built) == 2 and "dual_matrix" in vars(built[1])
+
+
+def test_sample_and_random_channel_match_per_matrix_reference():
+    for seed in range(240):
+        d = 1 + seed % 4
+        rank = 1 + (seed // 4) % (d * d)
+        assert np.array_equal(sup.sample(Rng(26_000 + seed), d).c, ref_sample(Rng(26_000 + seed), d))
+        assert np.array_equal(chn.random_channel(Rng(27_000 + seed), d, rank).jam,
+                              ref_random_channel(Rng(27_000 + seed), d, rank))
 
 
 def _robustness_channels():

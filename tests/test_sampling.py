@@ -1,6 +1,6 @@
 import numpy as np
 
-from dephaser.sampling import Rng, haar_unitary, haar_vector, random_state
+from dephaser.sampling import Rng, haar_unitaries, haar_unitary, haar_vector, random_state
 
 
 def test_rng_determinism():
@@ -14,6 +14,21 @@ def test_rng_determinism():
 def test_rng_derive_masks_to_uint64():
     r = Rng(2**64 - 1).derive(5)  # wraps, must not raise
     _ = r.normal((2,))
+
+
+def test_derived_stream_is_pcg64_at_offset_seed():
+    for seed, offset in ((0, 0), (7, 3), (2**64 - 2, 5)):
+        g = np.random.Generator(np.random.PCG64((seed + offset) % 2**64))
+        want = (g.normal(size=(2, 3)) + 1j * g.normal(size=(2, 3))) / np.sqrt(2.0)
+        assert np.array_equal(Rng(seed).derive(offset).complex_normal((2, 3)), want)
+
+
+def test_haar_unitaries_match_one_stream_each():
+    for d in (1, 2, 3, 4):
+        rngs = [Rng(100 * d + k) for k in range(5)]
+        stack = haar_unitaries(rngs, d)
+        assert stack.shape == (5, d, d)
+        assert all(np.array_equal(u, haar_unitary(Rng(100 * d + k), d)) for k, u in enumerate(stack))
 
 
 def test_haar_unitary_is_unitary():
