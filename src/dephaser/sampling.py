@@ -52,7 +52,7 @@ def haar_unitary(rng: Rng, d: int) -> np.ndarray:
     return haar_unitaries([rng], d)[0]
 
 
-def haar_unitaries(rngs, d: int) -> np.ndarray:
+def haar_unitaries(rngs: list[Rng], d: int) -> np.ndarray:
     """One Haar unitary per stream, as a (len(rngs), d, d) stack: each stream
     draws its own d x d Ginibre matrix, and one stacked QR and one phase fix
     of the R diagonals give every slice the bits of haar_unitary alone."""
