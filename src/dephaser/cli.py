@@ -94,6 +94,8 @@ def _tol_value(text: str) -> float:
     value = _number(float, text)
     if value is None or not math.isfinite(value):  # a NaN or inf tolerance would also reach the report
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    if value < 0.0:  # no residual is below a negative bound, so every check would fail
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
     return value
 
 

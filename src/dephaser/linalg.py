@@ -114,17 +114,23 @@ def gram_vectors(c: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.where(w > floor, w, 0.0))
 
 
-def _residual(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+# An orthonormal basis vector is stored with its conjugate, made once when it
+# joins the basis, so no projection conjugates it again.
+_Basis = list[tuple[np.ndarray, np.ndarray]]
+
+
+def _residual(vec: np.ndarray, basis: _Basis) -> np.ndarray:
     w = vec.astype(complex)
-    for b in basis:
-        w = w - b * (b.conj() @ w)
+    for b, bc in basis:
+        w = w - b * (bc @ w)
     return w
 
 
-def _orthonormalize(first: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+def _orthonormalize(first: np.ndarray, basis: _Basis) -> tuple[np.ndarray, np.ndarray]:
     # projected twice for numerical stability; first = _residual(vec, basis)
     w = _residual(first, basis)
-    return w / np.linalg.norm(w)
+    w = w / np.linalg.norm(w)
+    return w, w.conj()
 
 
 def complete_isometry(partial_map: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -138,7 +144,9 @@ def complete_isometry(partial_map: Sequence[tuple[np.ndarray, np.ndarray]]) -> n
     orthogonalizing standard basis vectors in index order on each side
     independently. W is n x n for vectors of length n.
     """
-    sources = [np.asarray(s, dtype=complex).reshape(-1) for s, _ in partial_map]
+    # contiguous, as _residual's copies are: a strided view (a matrix column)
+    # takes a different dot-product and norm kernel in the pivot rounds
+    sources = [np.ascontiguousarray(s, dtype=complex).reshape(-1) for s, _ in partial_map]
     targets = [np.asarray(t, dtype=complex).reshape(-1) for _, t in partial_map]
     if not sources:
         raise ValueError("partial_map must contain at least one pair")
@@ -154,8 +162,8 @@ def complete_isometry(partial_map: Sequence[tuple[np.ndarray, np.ndarray]]) -> n
             f"Gram matrices differ by {gram_dev:.3e} > {GRAM_TOL:.1e}; no unitary maps sources to targets"
         )
 
-    basis_s: list[np.ndarray] = []
-    basis_t: list[np.ndarray] = []
+    basis_s: _Basis = []
+    basis_t: _Basis = []
     remaining = list(range(len(sources)))
     res = dict(enumerate(sources))  # residual of each remaining source
     while remaining:
@@ -166,7 +174,7 @@ def complete_isometry(partial_map: Sequence[tuple[np.ndarray, np.ndarray]]) -> n
         j = remaining.pop(best)
         basis_s.append(_orthonormalize(res.pop(j), basis_s))
         basis_t.append(_orthonormalize(_residual(targets[j], basis_t), basis_t))
-        b, bc = basis_s[-1], basis_s[-1].conj()
+        b, bc = basis_s[-1]
         for i in remaining:
             res[i] = res[i] - b * (bc @ res[i])
 
@@ -180,6 +188,6 @@ def complete_isometry(partial_map: Sequence[tuple[np.ndarray, np.ndarray]]) -> n
             if np.linalg.norm(first) > PIVOT_TOL:
                 basis.append(_orthonormalize(first, basis))
 
-    b_s = np.stack(basis_s, axis=1)
-    b_t = np.stack(basis_t, axis=1)
-    return b_t @ b_s.conj().T
+    b_t = np.stack([b for b, _ in basis_t], axis=1)
+    b_s_h = np.stack([bc for _, bc in basis_s], axis=1).T  # b_s^H, the layout of b_s.conj().T
+    return b_t @ b_s_h

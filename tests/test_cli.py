@@ -612,6 +612,19 @@ def test_tolerance_flags_only_where_read(capsys, command, name):
             assert f"unknown tolerance '{name}' for {command}; known: {known}" in err
 
 
+@pytest.mark.parametrize("command", sorted(c for c in COMMAND_ARGS if READ_TOLERANCES[c]))
+def test_negative_tolerance_exits_2(capsys, command):
+    for name in sorted(READ_TOLERANCES[command]):
+        for value in ("-1", "-1e-300"):
+            code, out, err = run_cli(capsys, command, *COMMAND_ARGS[command], f"--tol.{name}={value}")
+            assert code == 2
+            assert out == ""
+            assert f"argument --tol.{name}: must not be negative, got {value}" in err
+        for value in ("0", "-0.0", "1e-300"):  # zero and tiny bounds stay accepted
+            argv = [command, *COMMAND_ARGS[command], f"--tol.{name}={value}"]
+            assert getattr(cli._parse_args(argv), f"tol.{name}") == float(value)
+
+
 def test_tol_before_subcommand_exits_2(capsys):
     code, out, err = run_cli(capsys, "--tol.psd=1e-7", "classify", fixture_path("corr3_npt.json"))
     assert code == 2

@@ -20,8 +20,8 @@ from dephaser import channels as chn
 from dephaser import coherence as coh
 from dephaser import superchannels as sup
 from dephaser.channels import transition_matrix
-from dephaser.linalg import GRAM_TOL, PIVOT_TOL
-from dephaser.sampling import Rng, haar_vector
+from dephaser.linalg import GRAM_TOL, PIVOT_TOL, complete_isometry
+from dephaser.sampling import Rng, haar_unitary, haar_vector
 
 
 # --- frozen copies of the single-input kernels -----------------------------
@@ -583,6 +583,36 @@ def test_realize_matches_reference(monkeypatch):
         ref = sup.realize(sc)
         assert len(real.us) == len(ref.us) and len(real.vs) == len(ref.vs)
         assert all(np.array_equal(a, b) for a, b in zip(real.us + real.vs, ref.us + ref.vs))
+
+
+def _isometry_cases(n, rng):
+    """Partial maps that realize and stinespring never send: a full unitary
+    (k = n pairs), 2 <= k < n pairs with a shared Gram matrix, and source sets
+    with one exactly dependent vector, which the pivot stops on. The full
+    unitary's sources are strided views (columns), the others contiguous."""
+    u = haar_unitary(rng.derive(1), n)
+    full = haar_unitary(rng.derive(2), n)
+    yield list(zip(full.T, (u @ full).T))
+    for k in range(2, n):
+        s = np.array([haar_vector(rng.derive(100 + j), n) * (1 + j) for j in range(k)]).T
+        yield list(zip(s.T, (u @ s).T))
+    a, b = haar_vector(rng.derive(3), n), haar_vector(rng.derive(4), n)
+    for dep in (2.0 * a, 3.0 * a + 2.0j * b, 0.5 * a - 0.25 * b):  # pivoted first, or last
+        s = np.array([a, dep] if n == 1 else [a, b, dep]).T
+        yield list(zip(s.T, (u @ s).T))
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 16])
+def test_complete_isometry_matches_reference(n):
+    rng = Rng(25_000 + n)
+    cases = list(_isometry_cases(n, rng))
+    assert len(cases) == max(n - 2, 0) + 4
+    for pairs in cases:
+        w = complete_isometry(pairs)
+        assert np.array_equal(w, ref_complete_isometry(pairs))
+        s = np.array([p for p, _ in pairs]).T
+        assert np.allclose(w @ s, np.array([t for _, t in pairs]).T, atol=1e-12)
+        assert np.allclose(w.conj().T @ w, np.eye(n), atol=1e-12)
 
 
 def test_stinespring_unitary_matches_reference(monkeypatch):
