@@ -179,6 +179,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     if getattr(args, "rank", None) is not None and args.kind != "channel":
         parser.error("--rank applies only to --kind channel")
+    if args.command == "distinguish" and len(args.superchannels) < 2:
+        parser.error("distinguish needs at least two superchannel files")
     if args.seed is None:
         env = os.environ.get("DEPHASER_SEED", "0")
         try:
@@ -197,6 +199,8 @@ def _load_json(path: str) -> dict:
         try:
             return json.load(fh)
         except ValueError as exc:  # bad JSON or UTF-8, or an int literal past Python's digit limit
+            raise _InvalidJSON(exc) from None
+        except RecursionError as exc:  # arrays or objects nested past the decoder's depth
             raise _InvalidJSON(exc) from None
 
 
@@ -302,8 +306,6 @@ def _cmd_coherence(args, tol: dict, seed: int):
 def _cmd_distinguish(args, tol: dict, seed: int):
     gate = ser.channel_from_json(_load_json(args.gate), tol["psd"])
     scs = [ser.superchannel_from_json(_load_json(p), tol["psd"]) for p in args.superchannels]
-    if len(scs) < 2:
-        raise ValueError("need at least two superchannel files")
     inst = coh.discrimination_seesaw(gate, scs, restarts=args.restarts, rng=Rng(seed))
     cert = coh.robustness(gate, gap_tol=tol["gap"], feas_tol=tol["feas"])
     bound = coh.robustness_bound_check(inst, cert, tol["feas"])

@@ -669,8 +669,12 @@ def _povm_candidate(taus: np.ndarray, m: int, n: int) -> np.ndarray:
     return si[:, None] @ (taus / m) @ si[:, None] + pker[:, None] / m
 
 
-def _strategy_value(povm: np.ndarray, taus: np.ndarray, m: int) -> float:
-    return float(np.einsum("mij,mji->", povm, taus).real) / m
+def _strategy_values(povms: np.ndarray, taus: np.ndarray, m: int) -> np.ndarray:
+    """(1/m) Re Tr(P_j T_j) summed over j, per row of (k, M, n, n) stacks, as
+    one row-wise dot of the float views (Re P Re T + Im P Im T, which is
+    Re Tr(P T) for Hermitian T); each row has the bits of its one-row call."""
+    k, width = len(povms), 2 * math.prod(povms.shape[1:])
+    return (povms.view(float).reshape(k, width) * taus.view(float).reshape(k, width)).sum(-1) / m
 
 
 def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
@@ -684,15 +688,21 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     eigenvector of the effective observable. Every reported value is the
     evaluated success probability of an explicit strategy.
 
-    All restarts advance as one stack, each leaving it at its own stop test;
-    each restart's arithmetic is its own, bit for bit as if it ran alone.
-    While every restart is active the stacks are passed whole, as views; an
-    iteration in which no restart's input moves skips the forward map. The
-    loop keeps each restart's objectives as a list of floats, and the
-    iteration_log records are built from those lists once, at the end. The
-    reported strategy is the lowest-index restart with the strictly largest
-    value; the baseline (maximally entangled input, uniform POVM) stays when
-    no restart beats it.
+    All restarts advance as one array program: one row-wise strategy value
+    (_strategy_values) per step for the whole stack, acceptance and input
+    moves as masks over the running restarts, objectives in a
+    (restarts, SEESAW_ITERS + 1) array with a vectorized stop test, and the
+    iteration_log records built from it once, at the end. The running
+    restarts' rows are kept compacted, so the steps see contiguous stacks;
+    a restart's rows go back to the full arrays when it stops. Each
+    restart's arithmetic is its own, bit for bit as if it ran alone. An
+    iteration in which no restart's input moves skips the forward map.
+
+    Tie rule: restarts are taken in index order, and one replaces the
+    incumbent (first the baseline: maximally entangled input, uniform POVM)
+    only if its value is higher by more than the value's own roundoff,
+    M n^2 ulps of the incumbent's value (n = d^2), so a restart that ends a
+    few ulps above the baseline in roundoff does not displace it.
 
     The outputs E_m = Xi_m[gate] act as E_m (x) I (_Lifted) by two identities:
     (E (x) I)(|psi><psi|) = sum_k vec(K_k Psi) vec(K_k Psi)^dag for psi = vec(Psi),
@@ -714,39 +724,44 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     phi = (np.eye(d).reshape(-1) / np.sqrt(d)).astype(complex)
     uniform = np.stack([np.eye(n, dtype=complex) / m] * m)
     best_psi, best_povm = phi, uniform
-    best_val = _strategy_value(uniform, lifted.forward(phi[None])[0], m)
+    best_val = float(_strategy_values(uniform[None], lifted.forward(phi[None]), m)[0])
     psi = np.array([phi] + [haar_vector(rng.derive(rs), n) for rs in range(1, restarts)])[:restarts]
     taus = lifted.forward(psi)
     povm = np.repeat(uniform[None], restarts, axis=0)
-    cur = [_strategy_value(uniform, t, m) for t in taus]
-    traces = [[c] for c in cur]  # each restart's objective after iterations 0, 1, ...
-    active = list(range(restarts))
-    for _ in range(SEESAW_ITERS):
-        if not active:
+    cur = _strategy_values(povm, taus, m)
+    objs = np.empty((restarts, SEESAW_ITERS + 1))  # each restart's objective after iteration 0, 1, ...
+    objs[:, 0] = cur
+    last = np.full(restarts, SEESAW_ITERS)  # each restart's final iteration
+    ids, psi_a, taus_a, povm_a, cur_a, objs_a = np.arange(restarts), psi, taus, povm, cur, objs
+    for it in range(1, SEESAW_ITERS + 1):
+        if not ids.size:
             break
-        every = len(active) == restarts  # views of the full stacks, not copies
-        for i, cand in zip(active, _povm_candidate(taus if every else taus[active], m, n)):
-            cand_val = _strategy_value(cand, taus[i], m)
-            if cand_val > cur[i]:
-                povm[i], cur[i] = cand, cand_val
-        w, v = np.linalg.eigh(lifted.dual(povm if every else povm[active]) / m)
-        up = [j for j, i in enumerate(active) if w[j, -1] > cur[i] + 1e-15]
-        if up:
-            moved = [active[j] for j in up]
-            psi[moved] = v[up, :, -1]
-            taus[moved] = lifted.forward(psi[moved])
-            for i in moved:
-                cur[i] = _strategy_value(povm[i], taus[i], m)
-        for i in active:
-            traces[i].append(cur[i])
-        active = [i for i in active
-                  if not (len(traces[i]) > 3 and traces[i][-1] - traces[i][-3] < 1e-13)]
-    for i in range(restarts):
-        if cur[i] > best_val:
-            best_val, best_psi, best_povm = cur[i], psi[i], povm[i]
-    p = _strategy_value(best_povm, lifted.forward(best_psi[None])[0], m)
+        cand = _povm_candidate(taus_a, m, n)
+        cand_val = _strategy_values(cand, taus_a, m)
+        better = cand_val > cur_a
+        povm_a[better], cur_a[better] = cand[better], cand_val[better]
+        w, v = np.linalg.eigh(lifted.dual(povm_a) / m)
+        up = w[:, -1] > cur_a + 1e-15
+        if up.any():
+            sel = slice(None) if up.all() else up
+            psi_a[sel] = v[sel, :, -1]
+            taus_a[sel] = lifted.forward(psi_a[sel])
+            cur_a[sel] = _strategy_values(povm_a[sel], taus_a[sel], m)
+        objs_a[:, it] = cur_a
+        if it > 2 and (stop := objs_a[:, it] - objs_a[:, it - 2] < 1e-13).any():
+            done = ids[stop]
+            psi[done], povm[done], cur[done], objs[done], last[done] = \
+                psi_a[stop], povm_a[stop], cur_a[stop], objs_a[stop], it
+            keep = ~stop
+            ids, psi_a, taus_a, povm_a, cur_a, objs_a = \
+                ids[keep], psi_a[keep], taus_a[keep], povm_a[keep], cur_a[keep], objs_a[keep]
+    psi[ids], povm[ids], cur[ids], objs[ids] = psi_a, povm_a, cur_a, objs_a
+    for i, val in enumerate(cur.tolist()):
+        if val > best_val + m * n * n * math.ulp(best_val):
+            best_val, best_psi, best_povm = val, psi[i], povm[i]
+    p = float(_strategy_values(best_povm[None], lifted.forward(best_psi[None]), m)[0])
     log = tuple({"restart": rs, "iter": it, "objective": obj}
-                for rs, trace in enumerate(traces) for it, obj in enumerate(trace))
+                for rs in range(restarts) for it, obj in enumerate(objs[rs, :last[rs] + 1].tolist()))
     return DiscriminationInstance(gate, scs, np.outer(best_psi, best_psi.conj()),
                                   tuple(best_povm), p, log)
 

@@ -47,8 +47,8 @@ def matrix_from_json(obj) -> np.ndarray:
     """The complex matrix of a decoded matrix JSON object. Each entry must
     be a [re, im] pair of JSON numbers (int or float; a string or a bool is
     not one). Data whose entries one pass over the types finds well-formed
-    is converted in one np.array call; anything else goes through
-    _decode_entries, which names the first bad entry."""
+    is converted by one np.fromiter over the flattened pairs; anything else
+    goes through _decode_entries, which names the first bad entry."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
@@ -64,7 +64,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if (set(map(type, data)) == {list} and set(map(len, data)) == {2}
             and set(map(type, chain.from_iterable(data))) <= {int, float}):
         try:
-            pairs = np.array(data, dtype=float)
+            pairs = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * len(data))
         except OverflowError:  # an int too large for a float
             pass
     if pairs is None or not np.isfinite(pairs).all():
@@ -233,33 +233,50 @@ def dumps(obj) -> str:
 
 
 def _encode(obj, nl: str) -> str:
-    """JSON text of obj; nl is the newline and indent of the line it starts on."""
-    if isinstance(obj, str):
+    """JSON text of obj; nl is the newline and indent of the line it starts on.
+    The exact JSON types are dispatched first, by identity of type; numpy
+    scalars and subclasses of JSON types take the isinstance chain after
+    them, which encodes their value of exact type."""
+    kind = type(obj)
+    if kind is float:
+        return float.__repr__(obj) if math.isfinite(obj) else "null" if math.isnan(obj) else f'"{obj}"'
+    if kind is str:
         return _encode_str(obj)
-    if isinstance(obj, (bool, np.bool_)):
+    inner = nl + "  "
+    if kind is dict:
+        items = [f"{_encode_str(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if kind is list or kind is tuple:
+        items = _float_pairs(obj, inner) or [_encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return float.__repr__(x) if math.isfinite(x) else "null" if math.isnan(x) else f'"{x}"'
+    if kind is int:
+        return int.__repr__(obj)
     if obj is None:
         return "null"
-    inner = nl + "  "
+    if isinstance(obj, (bool, np.bool_)):
+        return _encode(bool(obj), nl)
+    if isinstance(obj, (int, np.integer)):
+        return _encode(int(obj), nl)
+    if isinstance(obj, (float, np.floating)):
+        return _encode(float(obj), nl)
+    if isinstance(obj, str):
+        return _encode(str.__str__(obj), nl)
     if isinstance(obj, dict):
-        items = [f"{_encode_str(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        items = _float_pairs(obj, inner) or [_encode(v, inner) for v in obj]
-        brackets = "[]"
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
+        return _encode(dict(obj), nl)
+    if isinstance(obj, (list, tuple)):
+        return _encode(list(obj), nl)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _float_pairs(seq, inner: str) -> list[str] | None:
     """_encode's items, as one text from a per-pair template, of a list of
-    [re, im] pairs of finite Python floats (a matrix's data); else None."""
+    [re, im] pairs of finite Python floats (a matrix's data); else None. A
+    list whose first entry is not such a pair is rejected on that entry."""
+    head = seq[0] if seq else None
+    if not (type(head) in (list, tuple) and len(head) == 2 and type(head[0]) is float):
+        return None
     if not (set(map(type, seq)) <= {list, tuple} and set(map(len, seq)) == {2}
             and set(map(type, flat := tuple(chain.from_iterable(seq)))) == {float}):
         return None

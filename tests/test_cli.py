@@ -183,6 +183,18 @@ def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("error: invalid JSON input: Exceeds the limit") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["classify", "distinguish"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, command):
+    # nested past the JSON decoder's recursion depth: exit 2, not an internal failure
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [str(path)] if command == "classify" else [str(path), str(path), str(path)]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON input: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("literal,shown", [('"1.5"', "['1.5', 0]"), ("true", "[True, 0]")],
                          ids=["string", "boolean"])
 def test_non_number_entry_exits_3(tmp_path, capsys, literal, shown):
@@ -301,6 +313,15 @@ def test_distinguish_invalid_superchannel_reports_error(tmp_path, capsys, monkey
     report = parse_report(out)
     assert set(report) == REPORT_KEYS | {"error"}
     assert report["error"]["kind"] == "NOT_PSD"
+
+
+def test_distinguish_needs_two_superchannel_files(tmp_path, capsys, monkeypatch):
+    # a usage error: rejected while parsing, before any file is opened
+    monkeypatch.setattr(cli, "_load_json", _unreachable)
+    code, out, err = run_cli(capsys, "distinguish", fixture_path("hadamard_channel.json"),
+                             str(tmp_path / "missing.json"))
+    assert (code, out) == (2, "")
+    assert "distinguish needs at least two superchannel files" in err
 
 
 @pytest.mark.parametrize("command", ["coherence", "distinguish"])

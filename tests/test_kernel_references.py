@@ -54,7 +54,8 @@ def ref_povm_candidate(taus, m, n):
 
 
 def ref_strategy_value(povm, taus, m):
-    return float(np.einsum("mij,mji->", povm, taus).real) / m
+    # Re Tr(P T) for Hermitian T, as one dot of the float views
+    return float((povm.view(float).ravel() * taus.view(float).ravel()).sum()) / m
 
 
 def ref_seesaw(gate, scs, restarts, rng):
@@ -89,7 +90,7 @@ def ref_seesaw(gate, scs, restarts, rng):
             logs.append({"restart": rs, "iter": it, "objective": cur})
             if it > 2 and logs[-1]["objective"] - logs[-3]["objective"] < 1e-13:
                 break
-        if cur > best_val:
+        if cur > best_val + m * n * n * math.ulp(best_val):
             best_val, best_psi, best_povm = cur, cur_psi, cur_povm
     p = ref_strategy_value(best_povm, ref_forward(lifted, best_psi), m)
     return np.outer(best_psi, best_psi.conj()), tuple(best_povm), p, tuple(logs)
@@ -341,6 +342,25 @@ def test_seesaw_matches_single_restart_reference(d, m, restarts):
         assert len(inst.povm) == len(povm)
         assert all(np.array_equal(a, b) for a, b in zip(inst.povm, povm))
         assert inst.iteration_log == log
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_strategy_values_rows_match_one_row_calls(d, m):
+    # the seesaw's stacked strategy value gives every row the bits of its
+    # one-row call, also for the empty stack of restarts = 0
+    rng = Rng(23_000 + 10 * d + m)
+    lifted = coh._Lifted([chn.random_channel(rng.derive(j), d, 1 + j % (d * d)) for j in range(m)])
+    n = d * d
+    for k in (0, 1, 8):
+        psis = np.array([haar_vector(rng.derive(100 + i), n) for i in range(2 * k)]).reshape(2, k, n)
+        # two Hermitian stacks of the seesaw's shape; _povm_candidate takes no empty stack
+        taus, povms = lifted.forward(psis[0]), lifted.forward(psis[1])
+        got = coh._strategy_values(povms, taus, m)
+        assert got.shape == (k,)
+        for row, povm, tau in zip(got, povms, taus):
+            assert row == coh._strategy_values(povm[None], tau[None], m)[0]
+            assert row == ref_strategy_value(povm, tau, m)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -55,3 +55,27 @@ def test_per_layer_metrics_name_public_functions():
         fn = getattr(mod, func, None)
         assert not func.startswith("_") and inspect.isfunction(fn), f"{layer}.{func}"
         assert fn.__module__ == mod.__name__, f"{layer}.{func}"
+
+
+def test_seesaw_iteration_metric_counts_one_record_per_restart_and_iteration():
+    # coherence.discrimination_seesaw.iters sums what tracing reads of each
+    # call: the dimension in the low byte, len(iteration_log) above it
+    from dephaser import channels as chn, coherence as coh, serialization as ser
+    from dephaser import superchannels as sup
+    from dephaser.sampling import Rng
+
+    tracing = _load("tracing")
+    mods = {layer: importlib.import_module(f"dephaser.{layer}") for layer in tracing.LAYERS}
+    hook = tracing._aux_hook("coherence.discrimination_seesaw", mods)
+    rng = Rng(31)
+    gate = chn.random_channel(rng.derive(0), 3, 2)
+    scs = [sup.sample(rng.derive(1 + k), 3) for k in range(2)]
+    res = coh.discrimination_seesaw(gate, scs, restarts=8, rng=rng.derive(9))
+    rows = ser._log_summary(res.iteration_log)
+    assert [row["restart"] for row in rows] == list(range(8))
+    for row in rows:
+        iters = [rec["iter"] for rec in res.iteration_log if rec["restart"] == row["restart"]]
+        assert iters == list(range(row["iterations"] + 1))
+    aux = hook((gate, scs), res)
+    assert aux & 0xFF == 3
+    assert aux >> 8 == len(res.iteration_log) == sum(row["iterations"] + 1 for row in rows)

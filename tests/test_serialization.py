@@ -272,6 +272,29 @@ def test_dumps_matrix_data_fast_path_matches_json_dumps():
     assert '"inf"' in ser.dumps(obj) and "-0.0" in ser.dumps(obj)
 
 
+def test_dumps_matches_json_dumps_on_cli_shaped_reports():
+    # a realize report and a distinguish report as the CLI prints them, with a
+    # numpy-scalar leaf and a NaN inside matrix data, so both the exact-type
+    # dispatch and the numpy/fallback path run
+    sc = sup.sample(Rng(103), 2)
+    real = sup.realize(sc)
+    realization = ser.realization_to_json(real)
+    realization["us"][0]["data"][1] = [math.nan, 0.0]
+    realize = {"realization": realization, "roundtrip_residual": np.float64(2.5e-16),
+               "unitarity_deviation": 4.440892098500626e-16}
+    gate = chn.random_channel(Rng(104), 2, 2)
+    inst = coh.discrimination_seesaw(gate, [sc, sup.sample(Rng(105), 2)], restarts=2, rng=Rng(106))
+    cert = coh.robustness(gate)
+    distinguish = {"instance": ser.instance_to_json(inst), "robustness_value": cert.value,
+                   "bound_check": {**coh.robustness_bound_check(inst, cert), "ok": np.bool_(True)}}
+    for command, results in (("realize", realize), ("distinguish", distinguish)):
+        report = {"schema_version": 2, "command": command,
+                  "config": {"seed": np.int64(7), "tolerances": {"psd": 1e-9}, "out": None},
+                  "results": results, "checks": None, "wall_time_s": 0.25}
+        assert ser.dumps(report) == json.dumps(ref_sanitize(report), indent=2, sort_keys=True) + "\n"
+    assert "null" in ser.dumps(realize["realization"]["us"][0])
+
+
 def test_dumps_rejects_array_leaf():
     with pytest.raises(TypeError, match="ndarray"):
         ser.dumps({"a": np.zeros(2)})
