@@ -47,9 +47,9 @@ class DephasingChannelC:
     c: np.ndarray
 
 
-def assert_correlation(c: np.ndarray) -> np.ndarray:
-    """Check Hermitian + PSD + unit diagonal within TOL_PSD and return the
-    complex array."""
+def dephasing_c(c: np.ndarray) -> DephasingChannelC:
+    """Dephasing channel of a correlation matrix: Hermitian, PSD and unit
+    diagonal within TOL_PSD, else ValueError."""
     c = assert_hermitian(c)
     diag_dev = np.abs(np.diag(c) - 1.0).max()
     if diag_dev > TOL_PSD:
@@ -57,12 +57,6 @@ def assert_correlation(c: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(c)  # checked Hermitian above
     if w.min() < -TOL_PSD:
         raise ValueError(f"not PSD: min eigenvalue {w.min():.3e}")
-    return c
-
-
-def dephasing_c(c: np.ndarray) -> DephasingChannelC:
-    """Validated correlation matrix wrapper for a dephasing channel."""
-    c = assert_correlation(c)
     return DephasingChannelC(dim=c.shape[0], c=c)
 
 
@@ -246,9 +240,10 @@ def complementary_dephasing(dc: DephasingChannelC) -> Channel:
     return from_kraus([np.outer(p, e) for p, e in zip(psi, np.eye(dc.dim, dtype=complex))])
 
 
-def assert_stochastic(t: np.ndarray) -> np.ndarray:
-    """Check a column-stochastic matrix: entries >= 0, columns summing to 1,
-    within TOL_PSD."""
+def classical_channel(t: np.ndarray) -> Channel:
+    """Channel sum_ij T_ij <j|.|j> |i><i| with diagonal jam; T must be
+    column-stochastic (real entries >= 0, columns summing to 1) within
+    TOL_PSD, else ValueError."""
     t = np.asarray(t)
     if not np.isfinite(t).all():
         raise ValueError("transition matrix has non-finite entries")
@@ -260,12 +255,6 @@ def assert_stochastic(t: np.ndarray) -> np.ndarray:
     col_dev = np.abs(t.sum(axis=0) - 1.0).max()
     if col_dev > TOL_PSD:
         raise ValueError(f"columns do not sum to 1 (deviation {col_dev:.3e})")
-    return t
-
-
-def classical_channel(t: np.ndarray) -> Channel:
-    """Channel sum_ij T_ij <j|.|j> |i><i| with column-stochastic T; diagonal jam."""
-    t = assert_stochastic(t)
     d = t.shape[0]
     jam = np.diag(t.reshape(-1).astype(complex) / d)
     return Channel(dim=d, jam=jam)

@@ -198,9 +198,9 @@ def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # bad JSON or UTF-8, or an int literal past Python's digit limit
-            raise _InvalidJSON(exc) from None
-        except RecursionError as exc:  # arrays or objects nested past the decoder's depth
+        # ValueError: bad JSON or UTF-8, or an int literal past Python's digit
+        # limit; RecursionError: arrays or objects nested past the decoder's depth
+        except (ValueError, RecursionError) as exc:
             raise _InvalidJSON(exc) from None
 
 
@@ -287,7 +287,7 @@ def _cmd_coherence(args, tol: dict, seed: int):
             "eps": eps,
             "dh_divergence_lower": ser.encode_float(dh),
             # count of channels reachable from this gate via dephasing superchannels
-            "image_count_bound": ser.encode_float(2.0 ** dh if not math.isinf(dh) else math.inf),
+            "image_count_bound": ser.encode_float(2.0 ** dh),
             # count of dephasing superchannels distinguishable using this gate
             "discrimination_count_bound": (1.0 + cert.value) / (1.0 - eps),
         })

@@ -107,7 +107,7 @@ def hypothesis_test_divergence(rho: np.ndarray, sigma: np.ndarray, eps: float = 
     if rho.shape != sigma.shape:
         raise ValueError("states must have equal dims")
     _check_eps(eps)
-    return _dh(rho, sigma, eps)
+    return _bits(_np_test_min(rho[None], sigma[None], eps))
 
 
 def _check_eps(eps: float) -> None:
@@ -115,44 +115,32 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
 
 
-def _dh(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
-    """hypothesis_test_divergence() without its argument checks, for callers
-    whose states and eps are valid by construction."""
-    return _bits(_np_test_optimum(rho, sigma, eps))
-
-
 def _bits(val: float) -> float:
     """-log2 of a pre-log optimum, math.inf at or below DH_VALUE_FLOOR."""
     return math.inf if val <= DH_VALUE_FLOOR else -math.log2(val)
 
 
-def _np_test_optimum(rho: np.ndarray, sigma: np.ndarray, eps: float) -> float:
-    """Minimized Tr(Q sigma) of the hypothesis test (the pre-log optimum)."""
-    return _np_test_optima(rho[None], sigma[None], eps)[0]
-
-
-def _np_test_optima(rhos: np.ndarray, sigmas: np.ndarray, eps: float,
-                    min_only: bool = False) -> list[float]:
-    """_np_test_optimum of each pair (rhos[i], sigmas[i]) of two (k, n, n)
-    stacks. Every search keeps its own scalar step logic (_np_search); each
-    round probes the searches still bracketing with one stacked eigh of
-    rho_i - t_i sigma_i and one stacked congruence, and numpy's stacked eigh
-    and matmul give every slice the bits of the 2-D call, so each value is
+def _np_test_min(rhos: np.ndarray, sigmas: np.ndarray, eps: float) -> float:
+    """Smallest minimized Tr(Q sigma) (pre-log optimum) of the hypothesis
+    tests of the pairs (rhos[i], sigmas[i]) of two (k, n, n) stacks. Every
+    search keeps its own scalar step logic (_np_search); each round probes
+    the searches still bracketing with one stacked eigh of rho_i - t_i sigma_i
+    and one stacked congruence, and numpy's stacked eigh and matmul give
+    every slice the bits of the 2-D call, so each pair's optimum is
     bit-identical to a search run alone.
 
-    With min_only, only the smallest value is wanted, and a pair that
-    provably cannot attain it leaves the search and skips the final
-    evaluation; it reads math.inf (see dh_channel_divergence_lower for the
-    bounds and margins)."""
+    For k > 1 a pair that provably cannot attain the minimum leaves the
+    search and skips the final evaluation (see dh_channel_divergence_lower
+    for the bounds and margins); a lone pair has nothing to prune."""
     if eps < 1e-15:
         # exact: any feasible Q acts as identity on supp(rho), and the
         # support projector itself is feasible, so it is optimal
         ws, vs = np.linalg.eigh(rhos)
-        out = []
+        best = math.inf
         for w, v, sigma in zip(ws, vs, sigmas):
             p = v[:, w > 1e-12]
-            out.append(float((p.conj().T @ sigma @ p).trace().real))
-        return out
+            best = min(best, float((p.conj().T @ sigma @ p).trace().real))
+        return best
     target = 1.0 - eps
     ev_r = np.linalg.eigvalsh(rhos)
     ev_s = np.linalg.eigvalsh(sigmas)
@@ -172,7 +160,7 @@ def _np_test_optima(rhos: np.ndarray, sigmas: np.ndarray, eps: float,
         t = np.array(ts)
         w, v = np.linalg.eigh(rs[:, 0] - t[:, None, None] * rs[:, 1])
         congruent = v.conj().swapaxes(-1, -2)[:, None] @ rs @ v[:, None]
-        if min_only:  # the bounds of dh_channel_divergence_lower at this probe
+        if k > 1:  # the bounds of dh_channel_divergence_lower at this probe
             h, mass = (congruent.diagonal(0, -2, -1).real * (w > 0)[:, None]).sum(-1).T
             slack = 1e-12 + round_r[live] + t * round_s[live]
             lower[live] = np.maximum(lower[live], (target - slack - np.maximum(w, 0.0).sum(-1)) / t)
@@ -193,7 +181,7 @@ def _np_test_optima(rhos: np.ndarray, sigmas: np.ndarray, eps: float,
         rhos, sigmas, ev_s = rhos[idx], sigmas[idx], ev_s[idx]
     ts = np.array([0.5 * (lo + hi) for lo, hi in (brackets[i] for i in idx)])
     ws, vs = np.linalg.eigh(rhos - ts[:, None, None] * sigmas)
-    out = [math.inf] * k
+    best = math.inf
     for i, es, w, v, rho, sigma in zip(idx, ev_s, ws, vs, rhos, sigmas):
         lo, hi = brackets[i]
         band = max(1e-13, 10.0 * (hi - lo) * max(1.0, np.abs(es).max()))
@@ -210,8 +198,8 @@ def _np_test_optima(rhos: np.ndarray, sigmas: np.ndarray, eps: float,
             x = need / gb
         pv = float((p.conj().T @ sigma @ p).trace().real) if p.size else 0.0
         vb = float((bm.conj().T @ sigma @ bm).trace().real) if bm.size else 0.0
-        out[i] = pv + x * vb
-    return out
+        best = min(best, pv + x * vb)
+    return best
 
 
 def _np_probe(w: np.ndarray, r: np.ndarray, s: np.ndarray, target: float) -> tuple[bool, float]:
@@ -312,12 +300,12 @@ def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
     bound is nondecreasing in restarts for a fixed base seed. The lifted
     output states are density matrices by construction and are not
     re-validated. All candidates run one stacked threshold search
-    (_np_test_optima): each round is one batched eigh over the candidates
+    (_np_test_min): each round is one batched eigh over the candidates
     still bracketing, and every candidate's value is bit-identical to its
     own hypothesis_test_divergence search.
 
-    Only the maximum is returned, so the search is a branch-and-bound over
-    the candidates. Each probe at a threshold t bounds the candidate's
+    Only the maximum D_H, the smallest pre-log optimum, is wanted, so the
+    search is a branch-and-bound over the candidates. Each probe at a threshold t bounds the candidate's
     optimal type-II error beta from the eigenvalues w of rho - t sigma and
     the congruent rho and sigma it already has, with no extra eigensolve:
     weak duality gives beta >= (1 - eps - sum_{w>0} w)/t, an upper bound on
@@ -342,10 +330,7 @@ def dh_channel_divergence_lower(e1: Channel, e2: Channel, eps: float = 0.0,
     phi = (np.eye(d).reshape(-1) / np.sqrt(d)).astype(complex)
     psis = np.array([phi] + [haar_vector(rng.derive(i), d * d) for i in range(1, restarts + 1)])
     outs = lifted.forward(psis)
-    best = 0.0
-    for val in _np_test_optima(outs[:, 0], outs[:, 1], eps, min_only=True):
-        best = max(best, _bits(val))
-    return best
+    return max(0.0, _bits(_np_test_min(outs[:, 0], outs[:, 1], eps)))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Twelve numbered acceptance checks covering the shipped fixtures, the
 defining invariances, realization round trips, solver cross-checks against
 independent oracles, and the discrimination bound chain. Each check returns
-a CriterionResult with the measured margin and the tolerance it was held to;
-tolerances come from a named table so individual entries can be overridden
+(passed, margin, tolerance, detail): the measured margin and the tolerance
+it was held to; run_all reports it as a CriterionResult named after the
+check's function. Tolerances come from a named table so individual entries can be overridden
 (useful as a negative control: absurdly tight values must produce failures).
 """
 
@@ -67,7 +68,21 @@ def _random_stochastic(rng: Rng, d: int) -> np.ndarray:
     return t / t.sum(axis=0)
 
 
-def _c1_fixture_npt_spectrum(cfg: VerifyConfig) -> CriterionResult:
+def _trials(cfg: VerifyConfig, cid: int, full: int, offset: int = 0):
+    """(d, stream) for cfg.count(full) trials at d = 2, then at d = 3."""
+    for d in (2, 3):
+        rng = cfg.rng(cid).derive(d)
+        for trial in range(cfg.count(full)):
+            yield d, rng.derive(1000 * trial + offset)
+
+
+def _pair(rt: Rng, d: int):
+    """A trial's sampled superchannel and random channel of random rank."""
+    rank = 1 + int(rt.derive(500).integers(0, d * d))
+    return ssc.sample(rt, d), chn.random_channel(rt.derive(501), d, rank)
+
+
+def _c1_fixture_npt_spectrum(cfg: VerifyConfig):
     tol = cfg.tol["spectrum"]
     sc = fx.three_level_npt_superchannel()
     pt = partial_transpose(sc.c, (3, 3), 2)
@@ -76,15 +91,15 @@ def _c1_fixture_npt_spectrum(cfg: VerifyConfig) -> CriterionResult:
     psd_ok = bool(herm_eig(sc.c)[0][0] >= -cfg.tol["psd"])
     diag_dev = float(np.abs(np.diag(sc.c) - 1.0).max())
     passed = dev <= tol and psd_ok and diag_dev <= cfg.tol["psd"]
-    return CriterionResult(1, "fixture-npt-spectrum", passed, dev, tol, {
+    return passed, dev, tol, {
         "pt_min_eig": float(w.min()),
         "expected": 1.0 - math.sqrt(2.0),
         "fixture_psd": psd_ok,
         "diag_deviation": diag_dev,
-    })
+    }
 
 
-def _c2_qubit_ppt(cfg: VerifyConfig) -> CriterionResult:
+def _c2_qubit_ppt(cfg: VerifyConfig):
     rng = cfg.rng(2)
     n = cfg.count(1000)
     floor = -cfg.tol["psd"]
@@ -99,15 +114,15 @@ def _c2_qubit_ppt(cfg: VerifyConfig) -> CriterionResult:
         spec_pt = np.linalg.eigvalsh(partial_transpose(sc.c, (2, 2), 2))
         worst_mismatch = max(worst_mismatch, float(np.abs(np.sort(spec_c) - np.sort(spec_pt)).max()))
     passed = worst_eig >= floor and worst_mismatch <= tol
-    return CriterionResult(2, "qubit-ppt", passed, worst_mismatch, tol, {
+    return passed, worst_mismatch, tol, {
         "trials": n,
         "min_ppt_eig": worst_eig,
         "ppt_floor": floor,
         "spectrum_mismatch": worst_mismatch,
-    })
+    }
 
 
-def _c3_hadamard_steering(cfg: VerifyConfig) -> CriterionResult:
+def _c3_hadamard_steering(cfg: VerifyConfig):
     tol = cfg.tol["spectrum"]
     had = fx.hadamard_channel()
     sc = fx.qubit_sign_flip_superchannel()
@@ -120,44 +135,35 @@ def _c3_hadamard_steering(cfg: VerifyConfig) -> CriterionResult:
     fid_deficit = 1.0 - fidelity
     p_deficit = 1.0 - inst.p_succ
     passed = fid_deficit <= tol and p_deficit <= cfg.tol["seesaw"]
-    return CriterionResult(3, "hadamard-steering", passed, max(fid_deficit, p_deficit), tol, {
+    return passed, max(fid_deficit, p_deficit), tol, {
         "fidelity": fidelity,
         "p_succ": inst.p_succ,
         "seesaw_tol": cfg.tol["seesaw"],
-    })
+    }
 
 
-def _c4_transition_invariance(cfg: VerifyConfig) -> CriterionResult:
+def _c4_transition_invariance(cfg: VerifyConfig):
     tol = cfg.tol["exact"]
     worst = 0.0
     total = 0
-    for d in (2, 3):
-        rng = cfg.rng(4).derive(d)
-        for trial in range(cfg.count(100)):
-            rt = rng.derive(1000 * trial)
-            sc = ssc.sample(rt, d)
-            rank = 1 + int(rt.derive(500).integers(0, d * d))
-            ch = chn.random_channel(rt.derive(501), d, rank)
-            out = ssc.apply(sc, ch)
-            chn.check_channel(out, cfg.tol["psd"])
-            dev = float(np.abs(chn.transition_matrix(out) - chn.transition_matrix(ch)).max())
-            worst = max(worst, dev)
-            total += 1
-    return CriterionResult(4, "transition-invariance", worst <= tol, worst, tol, {
+    for d, rt in _trials(cfg, 4, 100):
+        sc, ch = _pair(rt, d)
+        out = ssc.apply(sc, ch)
+        chn.check_channel(out, cfg.tol["psd"])
+        dev = float(np.abs(chn.transition_matrix(out) - chn.transition_matrix(ch)).max())
+        worst = max(worst, dev)
+        total += 1
+    return worst <= tol, worst, tol, {
         "pairs": total,
         "cptp_tol": cfg.tol["psd"],
-    })
+    }
 
 
-def _c5_realization_roundtrip(cfg: VerifyConfig) -> CriterionResult:
+def _c5_realization_roundtrip(cfg: VerifyConfig):
     tol = cfg.tol["roundtrip"]
     worst = 0.0
     worst_unit = 0.0
-    cases = []
-    for d in (2, 3):
-        rng = cfg.rng(5).derive(d)
-        for trial in range(cfg.count(50)):
-            cases.append(ssc.sample(rng.derive(1000 * trial), d))
+    cases = [ssc.sample(rt, d) for d, rt in _trials(cfg, 5, 50)]
     cases.append(fx.three_level_npt_superchannel())
     for sc in cases:
         real = ssc.realize(sc)
@@ -167,83 +173,73 @@ def _c5_realization_roundtrip(cfg: VerifyConfig) -> CriterionResult:
         for w in (*real.us, *real.vs):
             worst_unit = max(worst_unit, float(np.abs(w.conj().T @ w - np.eye(m)).max()))
     passed = worst <= tol and worst_unit <= cfg.tol["unit"]
-    return CriterionResult(5, "realization-roundtrip", passed, worst, tol, {
+    return passed, worst, tol, {
         "cases": len(cases),
         "unitarity_deviation": worst_unit,
         "unit_tol": cfg.tol["unit"],
-    })
+    }
 
 
-def _c6_dephasing_closure(cfg: VerifyConfig) -> CriterionResult:
+def _c6_dephasing_closure(cfg: VerifyConfig):
     tol = cfg.tol["exact"]
     worst = 0.0
     worst_contraction = 0.0
     total = 0
-    for d in (2, 3):
-        rng = cfg.rng(6).derive(d)
-        for trial in range(cfg.count(100)):
-            rt = rng.derive(1000 * trial)
-            sc = ssc.sample(rt, d)
-            dc = chn.random_dephasing(rt.derive(600), d)
-            lhs = ssc.apply(sc, chn.dephasing_channel(dc)).jam
-            res = ssc.act_on_dephasing(sc, dc)
-            rhs = chn.dephasing_channel(res).jam
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-            growth = float((np.abs(res.c) - np.abs(dc.c)).max())
-            worst_contraction = max(worst_contraction, growth)
-            total += 1
+    for d, rt in _trials(cfg, 6, 100):
+        sc = ssc.sample(rt, d)
+        dc = chn.random_dephasing(rt.derive(600), d)
+        lhs = ssc.apply(sc, chn.dephasing_channel(dc)).jam
+        res = ssc.act_on_dephasing(sc, dc)
+        rhs = chn.dephasing_channel(res).jam
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        growth = float((np.abs(res.c) - np.abs(dc.c)).max())
+        worst_contraction = max(worst_contraction, growth)
+        total += 1
     passed = worst <= tol and worst_contraction <= tol
-    return CriterionResult(6, "dephasing-closure", passed, worst, tol, {
+    return passed, worst, tol, {
         "pairs": total,
         "max_contraction_excess": worst_contraction,
-    })
+    }
 
 
-def _c7_cohering_monotonicity(cfg: VerifyConfig) -> CriterionResult:
+def _c7_cohering_monotonicity(cfg: VerifyConfig):
     tol = cfg.tol["mono"]
     r2 = coh.monotonicity_suite(cfg.rng(7).derive(2), cfg.count(1000), 2, coh.L1, tol)
     r3 = coh.monotonicity_suite(cfg.rng(7).derive(3), cfg.count(200), 3, coh.L1, tol)
     worst = max(r2["max_violation"], r3["max_violation"])
     passed = r2["ok"] and r3["ok"]
-    return CriterionResult(7, "cohering-monotonicity", passed, worst, tol, {
+    return passed, worst, tol, {
         "d2": r2,
         "d3": r3,
-    })
+    }
 
 
-def _c8_classical_invariance(cfg: VerifyConfig) -> CriterionResult:
+def _c8_classical_invariance(cfg: VerifyConfig):
     tol = cfg.tol["exact"]
     worst_fix = 0.0
     worst_sandwich = 0.0
     pairs = 0
-    for d in (2, 3):
-        rng = cfg.rng(8).derive(d)
-        for trial in range(cfg.count(100)):
-            rt = rng.derive(1000 * trial)
-            sc = ssc.sample(rt, d)
-            t = _random_stochastic(rt.derive(600), d)
-            et = chn.classical_channel(t)
-            out = ssc.apply(sc, et)
-            worst_fix = max(worst_fix, float(np.abs(out.jam - et.jam).max()))
-            pairs += 1
-        delta = chn.completely_dephasing(d)
-        for trial in range(cfg.count(50)):
-            rt = rng.derive(1000 * trial + 251)
-            sc = ssc.sample(rt, d)
-            rank = 1 + int(rt.derive(500).integers(0, d * d))
-            ch = chn.random_channel(rt.derive(501), d, rank)
-            sandwich = chn.compose(delta, chn.compose(ssc.apply(sc, ch), delta))
-            dev = float(np.abs(sandwich.jam - chn.classical_version(ch).jam).max())
-            worst_sandwich = max(worst_sandwich, dev)
+    for d, rt in _trials(cfg, 8, 100):
+        sc = ssc.sample(rt, d)
+        et = chn.classical_channel(_random_stochastic(rt.derive(600), d))
+        out = ssc.apply(sc, et)
+        worst_fix = max(worst_fix, float(np.abs(out.jam - et.jam).max()))
+        pairs += 1
+    deltas = {d: chn.completely_dephasing(d) for d in (2, 3)}
+    for d, rt in _trials(cfg, 8, 50, offset=251):
+        sc, ch = _pair(rt, d)
+        sandwich = chn.compose(deltas[d], chn.compose(ssc.apply(sc, ch), deltas[d]))
+        dev = float(np.abs(sandwich.jam - chn.classical_version(ch).jam).max())
+        worst_sandwich = max(worst_sandwich, dev)
     worst = max(worst_fix, worst_sandwich)
-    return CriterionResult(8, "classical-invariance", worst <= tol, worst, tol, {
+    return worst <= tol, worst, tol, {
         "fixed_point_deviation": worst_fix,
         "sandwich_deviation": worst_sandwich,
         "pairs": pairs,
-    })
+    }
 
 
-def _c9_robustness_sdp(cfg: VerifyConfig) -> CriterionResult:
+def _c9_robustness_sdp(cfg: VerifyConfig):
     tol = cfg.tol["grid"]
     rng = cfg.rng(9)
     cases = [fx.hadamard_channel()]
@@ -264,14 +260,14 @@ def _c9_robustness_sdp(cfg: VerifyConfig) -> CriterionResult:
     t = _random_stochastic(rng.derive(777), 2)
     classical_value = coh.robustness(chn.classical_channel(t)).value
     passed = worst <= tol and worst_feas <= cfg.tol["feas"] and classical_value == 0.0
-    return CriterionResult(9, "robustness-sdp", passed, worst, tol, {
+    return passed, worst, tol, {
         "cases": len(cases),
         "worst_feasibility_residual": worst_feas,
         "classical_value": classical_value,
-    })
+    }
 
 
-def _c10_bound_chain(cfg: VerifyConfig) -> CriterionResult:
+def _c10_bound_chain(cfg: VerifyConfig):
     rng = cfg.rng(10)
     lo_tol = cfg.tol["seesaw"]
     hi_tol = cfg.tol["feas"]
@@ -290,14 +286,14 @@ def _c10_bound_chain(cfg: VerifyConfig) -> CriterionResult:
         worst_lo = max(worst_lo, 1.0 / m - inst.p_succ)
         worst_hi = max(worst_hi, report["lhs"] - report["rhs"])
     passed = worst_lo <= lo_tol and worst_hi <= hi_tol
-    return CriterionResult(10, "bound-chain", passed, worst_hi, hi_tol, {
+    return passed, worst_hi, hi_tol, {
         "instances": n,
         "worst_lower_deficit": worst_lo,
         "lower_tol": lo_tol,
-    })
+    }
 
 
-def _c11_hypothesis_test(cfg: VerifyConfig) -> CriterionResult:
+def _c11_hypothesis_test(cfg: VerifyConfig):
     rng = cfg.rng(11)
     worst_eq = 0.0
     for trial in range(cfg.count(5)):
@@ -330,45 +326,40 @@ def _c11_hypothesis_test(cfg: VerifyConfig) -> CriterionResult:
         worst_dp = max(worst_dp, d2 - d1)
     tol = cfg.tol["dh"]
     passed = worst_eq <= cfg.tol["spectrum"] and worst_lp <= tol and worst_dp <= tol
-    return CriterionResult(11, "hypothesis-test", passed, max(worst_lp, worst_dp), tol, {
+    return passed, max(worst_lp, worst_dp), tol, {
         "equal_states_deviation": worst_eq,
         "equal_states_tol": cfg.tol["spectrum"],
         "lp_oracle_deviation": worst_lp,
         "data_processing_excess": worst_dp,
-    })
+    }
 
 
-def _c12_dual_paths(cfg: VerifyConfig) -> CriterionResult:
+def _c12_dual_paths(cfg: VerifyConfig):
     tol = cfg.tol["exact"]
     worst_super = 0.0
     worst_apply = 0.0
     worst_prepost = 0.0
-    for d in (2, 3):
-        rng = cfg.rng(12).derive(d)
-        for trial in range(cfg.count(50)):
-            rt = rng.derive(1000 * trial)
-            sc = ssc.sample(rt, d)
-            rank = 1 + int(rt.derive(500).integers(0, d * d))
-            ch = chn.random_channel(rt.derive(501), d, rank)
-            a = ssc.apply(sc, ch).jam
-            b = ssc.apply_via_super_jam(sc, ch).jam
-            worst_super = max(worst_super, float(np.abs(a - b).max()))
-            rho = random_state(rt.derive(502), d)
-            via_k = chn.apply(ch, rho, via="kraus")
-            via_j = chn.apply(ch, rho, via="jam")
-            worst_apply = max(worst_apply, float(np.abs(via_k - via_j).max()))
-            c1 = chn.random_dephasing(rt.derive(503), d)
-            c2 = chn.random_dephasing(rt.derive(504), d)
-            lhs = ssc.apply(ssc.pre_post(c1, c2), ch).jam
-            rhs = chn.compose(chn.dephasing_channel(c2),
-                              chn.compose(ch, chn.dephasing_channel(c1))).jam
-            worst_prepost = max(worst_prepost, float(np.abs(lhs - rhs).max()))
+    for d, rt in _trials(cfg, 12, 50):
+        sc, ch = _pair(rt, d)
+        a = ssc.apply(sc, ch).jam
+        b = ssc.apply_via_super_jam(sc, ch).jam
+        worst_super = max(worst_super, float(np.abs(a - b).max()))
+        rho = random_state(rt.derive(502), d)
+        via_k = chn.apply(ch, rho, via="kraus")
+        via_j = chn.apply(ch, rho, via="jam")
+        worst_apply = max(worst_apply, float(np.abs(via_k - via_j).max()))
+        c1 = chn.random_dephasing(rt.derive(503), d)
+        c2 = chn.random_dephasing(rt.derive(504), d)
+        lhs = ssc.apply(ssc.pre_post(c1, c2), ch).jam
+        rhs = chn.compose(chn.dephasing_channel(c2),
+                          chn.compose(ch, chn.dephasing_channel(c1))).jam
+        worst_prepost = max(worst_prepost, float(np.abs(lhs - rhs).max()))
     worst = max(worst_super, worst_apply, worst_prepost)
-    return CriterionResult(12, "dual-paths", worst <= tol, worst, tol, {
+    return worst <= tol, worst, tol, {
         "super_jam_deviation": worst_super,
         "apply_deviation": worst_apply,
         "pre_post_deviation": worst_prepost,
-    })
+    }
 
 
 def _lp_oracle_diag(p: np.ndarray, q: np.ndarray, eps: float) -> float:
@@ -414,11 +405,11 @@ def run_all(seed: int = 0, trials: int | None = None, tolerances: dict | None = 
     cfg = VerifyConfig(seed=seed, trials=trials, tol=tol)
     results = []
     for cid, fn in enumerate(CRITERIA, start=1):
+        name = fn.__name__.split("_", 2)[-1].replace("_", "-")
         try:
-            res = fn(cfg)
+            res = CriterionResult(cid, name, *fn(cfg))
         except Exception as exc:
-            res = CriterionResult(cid, fn.__name__.split("_", 2)[-1].replace("_", "-"),
-                                  False, math.nan, math.nan,
+            res = CriterionResult(cid, name, False, math.nan, math.nan,
                                   {"error": f"{type(exc).__name__}: {exc}"})
         results.append(res)
     return results

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,22 @@ def test_classical_channel_roundtrip():
 def test_classical_channel_rejects_bad_matrix():
     with pytest.raises(ValueError):
         chn.classical_channel(np.array([[0.5, 0.2], [0.2, 0.2]]))
+
+
+@pytest.mark.parametrize("build, m, message", [
+    (chn.dephasing_c, [[1.0, 0.5], [0.2, 1.0]], "matrix is not Hermitian: max |m - m^dag| = 3.000e-01 > 1.0e-10"),
+    (chn.dephasing_c, [[1.0, np.nan], [np.nan, 1.0]], "matrix has non-finite entries"),
+    (chn.dephasing_c, [[1.0, 0.5], [0.5, 0.9]], "diagonal entries deviate from 1 by 1.000e-01"),
+    (chn.dephasing_c, [[1.0, 2.0], [2.0, 1.0]], "not PSD: min eigenvalue -1.000e+00"),
+    (chn.classical_channel, [[0.5, 0.5j], [0.5, 0.5]], "transition matrix must be real"),
+    (chn.classical_channel, [[1.2, 0.5], [-0.2, 0.5]], "negative transition probability -2.000e-01"),
+    (chn.classical_channel, [[0.5, 0.2], [0.2, 0.2]], "columns do not sum to 1 (deviation 6.000e-01)"),
+    (chn.classical_channel, [[0.5, np.inf], [0.5, 0.5]], "transition matrix has non-finite entries"),
+], ids=["c-non-hermitian", "c-non-finite", "c-diagonal", "c-not-psd",
+        "t-complex", "t-negative", "t-column-sum", "t-non-finite"])
+def test_validators_reject_with_message(build, m, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(np.array(m))
 
 
 def test_classical_channel_identity_is_dephasing():

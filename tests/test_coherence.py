@@ -155,8 +155,8 @@ def test_dh_lower_monotone_in_restarts():
 
 
 def ref_np_test_optimum(rho, sigma, eps):
-    """The bisection that coherence._np_test_optimum replaced, kept verbatim
-    as the reference for its safeguarded Newton search."""
+    """The bisection that the search of coherence._np_test_min replaced, kept
+    verbatim as the reference for its safeguarded Newton search."""
     if eps < 1e-15:
         w, v = np.linalg.eigh(rho)
         p = v[:, w > 1e-12]
@@ -256,10 +256,10 @@ def test_np_test_optimum_matches_bisection():
     n = 0
     for (rho, sigma), eps in zip(_parity_pairs(), epss):
         ref = ref_np_test_optimum(rho, sigma, eps)
-        got = coh._np_test_optimum(rho, sigma, eps)
+        got = coh._np_test_min(rho[None], sigma[None], eps)
         if ref <= coh.DH_VALUE_FLOOR:
             assert got <= coh.DH_VALUE_FLOOR
-            assert math.isinf(coh._dh(rho, sigma, eps))
+            assert math.isinf(coh.hypothesis_test_divergence(rho, sigma, eps))
         else:
             assert abs(got - ref) <= 1e-10 * ref
         n += 1
@@ -279,7 +279,7 @@ def test_np_test_optimum_eigensolve_count(monkeypatch, d):
     counts = []
     for rho, sigma in _lifted_candidates(d):
         calls[0] = 0
-        coh._np_test_optimum(rho, sigma, 0.1)
+        coh._np_test_min(rho[None], sigma[None], 0.1)
         counts.append(calls[0])
     assert np.median(counts) <= 12
     assert max(counts) <= 60
@@ -519,7 +519,7 @@ def test_negative_restarts_rejected():
     lifted = coh._Lifted([gate, chn.classical_version(gate)])
     rho, sigma = lifted.forward(phi[None])[0]
     assert coh.dh_channel_divergence_lower(gate, chn.classical_version(gate), 0.1, restarts=0) \
-        == coh._dh(rho, sigma, 0.1)
+        == coh.hypothesis_test_divergence(rho, sigma, 0.1)
 
 
 def test_seesaw_log_monotone_and_feasible():

@@ -171,7 +171,7 @@ def ref_robustness(ch):
 
 
 def ref_np_test_optimum(rho, sigma, eps):
-    """_np_test_optimum as one safeguarded Newton search per pair."""
+    """_np_test_min of a lone pair, as one safeguarded Newton search."""
     if eps < 1e-15:
         w, v = np.linalg.eigh(rho)
         p = v[:, w > 1e-12]
@@ -440,16 +440,19 @@ def _dh_candidate_stacks():
 
 
 def test_np_test_optima_match_single_pair_reference():
+    # each pair searched alone, and each stack's minimum, bit for bit
     n = same = floor = 0
     for rhos, sigmas in _dh_candidate_stacks():
         for eps in DH_EPS:
-            got = coh._np_test_optima(rhos, sigmas, eps)
-            assert len(got) == len(rhos)
-            for val, rho, sigma in zip(got, rhos, sigmas):
+            refs = []
+            for rho, sigma in zip(rhos, sigmas):
+                val = coh._np_test_min(rho[None], sigma[None], eps)
                 assert val == ref_np_test_optimum(rho, sigma, eps)
+                refs.append(val)
                 n += 1
                 same += bool(np.array_equal(rho, sigma))
                 floor += val <= coh.DH_VALUE_FLOOR
+            assert coh._np_test_min(rhos, sigmas, eps) == min(refs)
     assert n >= 600 and same >= 150 and floor >= 15
 
 
@@ -485,15 +488,23 @@ def test_dh_lower_eigensolve_count(monkeypatch):
 
 
 def _pruned_min_matches(rhos, sigmas, eps):
-    """The min_only search against the full one: same minimum, bit for bit;
-    every kept value as in the full search, every dropped one (inf) no
-    smaller than the minimum. Returns the min_only values."""
-    full = coh._np_test_optima(rhos, sigmas, eps)
-    pruned = coh._np_test_optima(rhos, sigmas, eps, min_only=True)
-    assert min(pruned) == min(full)
-    for got, want in zip(pruned, full):
-        assert got == want or (got == math.inf and want >= min(full))
-    return pruned
+    """The stacked search's minimum against the single-pair searches, bit for
+    bit. Returns how many pairs its final evaluation (the last stacked eigh)
+    kept."""
+    singles = [coh._np_test_min(rho[None], sigma[None], eps) for rho, sigma in zip(rhos, sigmas)]
+    eigh = np.linalg.eigh
+    last = [0]
+
+    def counted(a):
+        if a.ndim == 3:
+            last[0] = a.shape[0]
+        return eigh(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", counted)
+        got = coh._np_test_min(rhos, sigmas, eps)
+    assert got == min(singles)
+    return last[0]
 
 
 def _random_state(rng, n):
@@ -517,7 +528,7 @@ def test_dh_pruning_keeps_near_tie_minimum():
             sigmas = np.array(sigmas)[order]
             rhos = np.array([rho] * len(sigmas))
             for eps in (1e-3, 0.1, 0.5):
-                dropped += _pruned_min_matches(rhos, sigmas, eps).count(math.inf)
+                dropped += len(rhos) - _pruned_min_matches(rhos, sigmas, eps)
     assert dropped > 0  # the margins still let clearly worse candidates go
 
 
@@ -529,7 +540,7 @@ def test_dh_pruning_on_ties_and_infinite_divergence(d):
         rng = Rng(29_100 + d)
         # identical channels: every candidate ties at 1 - eps, none is dropped
         outs = dh_candidates(other, other, 8, rng)
-        assert math.inf not in _pruned_min_matches(outs[:, 0], outs[:, 1], eps)
+        assert _pruned_min_matches(outs[:, 0], outs[:, 1], eps) == len(outs)
         got = coh.dh_channel_divergence_lower(other, other, eps, restarts=8, rng=rng)
         assert got == ref_dh_channel_divergence_lower(other, other, eps, 8, rng)
         # the maximally entangled input tells the identity from the shift: D = inf
@@ -558,7 +569,8 @@ def test_dh_lower_pruning_probes_fewer_slices(monkeypatch):
         coh.dh_channel_divergence_lower(gate, classical, 0.1, restarts=8, rng=rng.derive(2))
         pruned += slices[0]
         slices[0] = 0
-        coh._np_test_optima(outs[:, 0], outs[:, 1], 0.1)
+        for rho, sigma in zip(outs[:, 0], outs[:, 1]):
+            coh._np_test_min(rho[None], sigma[None], 0.1)
         full += slices[0]
     assert pruned <= 0.7 * full
 
