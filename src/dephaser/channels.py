@@ -140,31 +140,15 @@ def to_kraus(ch: Channel) -> list[np.ndarray]:
     return ks
 
 
-def apply(ch: Channel, rho: np.ndarray, via: str = "jam") -> np.ndarray:
-    """Apply the channel to a density matrix.
-
-    via = "jam" is the contraction d * Tr_2[jam (1 (x) rho^T)]; "kraus" is
-    the Kraus sum over to_kraus(ch), kept as an independent second path.
-    """
+def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
+    """Apply the channel to a density matrix: the contraction
+    E(rho) = d * Tr_2[jam (1 (x) rho^T)], i.e. d * sum_kl J[(ik),(jl)] rho_kl.
+    verify's criterion 12 checks it against the Kraus sum over to_kraus."""
     rho = assert_state(rho)
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"state dim {rho.shape[0]} does not match channel dim {ch.dim}")
-    return _apply(ch, rho, via)
-
-
-def _apply(ch: Channel, rho: np.ndarray, via: str = "jam") -> np.ndarray:
-    """apply() without its argument checks, for callers whose rho is a
-    complex density matrix of the channel's dimension by construction."""
     d = ch.dim
-    if via == "kraus":
-        ks = to_kraus(ch)
-        out = np.zeros((d, d), dtype=complex)
-        for k in ks:
-            out += k @ rho @ k.conj().T
-        return out
-    if via == "jam":
-        return d * np.einsum("ikjl,kl->ij", ch.jam.reshape(d, d, d, d), rho)
-    raise ValueError(f"unknown via={via!r}")
+    if rho.shape != (d, d):
+        raise ValueError(f"state dim {rho.shape[0]} does not match channel dim {d}")
+    return d * np.einsum("ikjl,kl->ij", ch.jam.reshape(d, d, d, d), rho)
 
 
 def superop_matrix(ch: Channel) -> np.ndarray:

@@ -177,8 +177,11 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             parser.error(f"unknown tolerance {name!r} for {args.command}; known: {known}")
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    if getattr(args, "rank", None) is not None and args.kind != "channel":
-        parser.error("--rank applies only to --kind channel")
+    if getattr(args, "rank", None) is not None:
+        if args.kind != "channel":
+            parser.error("--rank applies only to --kind channel")
+        if args.rank > args.dim ** 2:
+            parser.error(f"--rank must be in [1, {args.dim ** 2}] for --dim {args.dim}, got {args.rank}")
     if args.command == "distinguish" and len(args.superchannels) < 2:
         parser.error("distinguish needs at least two superchannel files")
     if args.seed is None:

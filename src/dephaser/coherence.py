@@ -17,7 +17,6 @@ import numpy as np
 
 from .channels import (
     Channel,
-    _apply as _channel_apply,
     assert_state,
     random_channel,
     to_kraus,
@@ -69,16 +68,13 @@ def _state_coherence(rho: np.ndarray, measure: str) -> float:
 
 
 def cohering_power(ch: Channel, measure: str = L1) -> float:
-    """Maximum coherence the channel creates from a basis state. The basis
-    states and their images under the channel are density matrices by
-    construction, so neither is re-validated."""
+    """Maximum coherence the channel creates from a basis state. The images
+    E(|k><k|) = d J[(ik),(jk)] are all read from one slice of the
+    Jamiolkowski matrix; they are density matrices by construction, so none
+    is re-validated."""
     d = ch.dim
-    best = 0.0
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        best = max(best, _state_coherence(_channel_apply(ch, e), measure))
-    return best
+    images = d * np.einsum("ikjk->kij", ch.jam.reshape(d, d, d, d))
+    return max([0.0] + [_state_coherence(rho, measure) for rho in images])
 
 
 def hypothesis_test_divergence(rho: np.ndarray, sigma: np.ndarray, eps: float = 0.0) -> float:
@@ -187,8 +183,8 @@ def _np_test_min(rhos: np.ndarray, sigmas: np.ndarray, eps: float) -> float:
         band = max(1e-13, 10.0 * (hi - lo) * max(1.0, np.abs(es).max()))
         p = v[:, w > band]
         bm = v[:, np.abs(w) <= band]
-        g = float((p.conj().T @ rho @ p).trace().real) if p.size else 0.0
-        gb = float((bm.conj().T @ rho @ bm).trace().real) if bm.size else 0.0
+        g = float((p.conj().T @ rho @ p).trace().real)
+        gb = float((bm.conj().T @ rho @ bm).trace().real)
         need = target - g
         if need <= 1e-12:
             x = 0.0
@@ -196,8 +192,8 @@ def _np_test_min(rhos: np.ndarray, sigmas: np.ndarray, eps: float) -> float:
             x = 1.0
         else:
             x = need / gb
-        pv = float((p.conj().T @ sigma @ p).trace().real) if p.size else 0.0
-        vb = float((bm.conj().T @ sigma @ bm).trace().real) if bm.size else 0.0
+        pv = float((p.conj().T @ sigma @ p).trace().real)
+        vb = float((bm.conj().T @ sigma @ bm).trace().real)
         best = min(best, pv + x * vb)
     return best
 
@@ -650,7 +646,9 @@ def _povm_candidate(taus: np.ndarray, m: int, n: int) -> np.ndarray:
         return out
     winv = np.where(w > 1e-12, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
     si = (v * winv[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    pker = np.stack([np.eye(n) - s @ s.conj().T for s in (vi[:, wi > 1e-12] for wi, vi in zip(w, v))])
+    # np.array + reshape, not np.stack, so that an empty stack keeps its (0, n, n) shape
+    pker = np.array([np.eye(n) - s @ s.conj().T for s in (vi[:, wi > 1e-12] for wi, vi in zip(w, v))],
+                    dtype=complex).reshape(len(w), n, n)
     return si[:, None] @ (taus / m) @ si[:, None] + pker[:, None] / m
 
 

@@ -24,7 +24,7 @@ from .linalg import (
     partial_transpose,
     reshuffle,
 )
-from .channels import Channel, DephasingChannelC, from_jam, from_kraus
+from .channels import Channel, DephasingChannelC, dephasing_channel, from_jam, from_kraus
 from .sampling import Rng, haar_unitaries
 
 NOT_PSD = "NOT_PSD"
@@ -163,12 +163,10 @@ def apply(sc: DephasingSuperchannel, ch: Channel, tol: float | None = None) -> C
 
 def super_jamiolkowski(sc: DephasingSuperchannel) -> np.ndarray:
     """Jamiolkowski matrix of Xi as a map on channel states: the d^4 x d^4
-    matrix with [(a,a),(b,b)] entry C_ab / d^2 and zeros elsewhere."""
-    d2 = sc.dim * sc.dim
-    j = np.zeros((d2 * d2, d2 * d2), dtype=complex)
-    idx = np.arange(d2) * (d2 + 1)
-    j[np.ix_(idx, idx)] = sc.c / d2
-    return j
+    matrix with [(a,a),(b,b)] entry C_ab / d^2 and zeros elsewhere. Xi acts
+    on Jamiolkowski states as the Schur multiplier C, so this is the matrix
+    of the d^2-dimensional dephasing channel of C."""
+    return dephasing_channel(DephasingChannelC(dim=sc.dim * sc.dim, c=sc.c)).jam
 
 
 def apply_via_super_jam(sc: DephasingSuperchannel, ch: Channel) -> Channel:

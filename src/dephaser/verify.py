@@ -345,9 +345,10 @@ def _c12_dual_paths(cfg: VerifyConfig):
         b = ssc.apply_via_super_jam(sc, ch).jam
         worst_super = max(worst_super, float(np.abs(a - b).max()))
         rho = random_state(rt.derive(502), d)
-        via_k = chn.apply(ch, rho, via="kraus")
-        via_j = chn.apply(ch, rho, via="jam")
-        worst_apply = max(worst_apply, float(np.abs(via_k - via_j).max()))
+        kraus_sum = np.zeros((d, d), dtype=complex)  # independent second path
+        for k in chn.to_kraus(ch):
+            kraus_sum += k @ rho @ k.conj().T
+        worst_apply = max(worst_apply, float(np.abs(kraus_sum - chn.apply(ch, rho)).max()))
         c1 = chn.random_dephasing(rt.derive(503), d)
         c2 = chn.random_dephasing(rt.derive(504), d)
         lhs = ssc.apply(ssc.pre_post(c1, c2), ch).jam

@@ -711,6 +711,15 @@ def test_sample_rank_needs_channel_kind(capsys, kind):
     assert "--rank applies only to --kind channel" in err
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sample_rank_above_dim_squared_exits_2(capsys, d):
+    code, out, err = run_cli(capsys, "sample", "--kind", "channel", "--dim", str(d),
+                             "--rank", str(d * d + 1))
+    assert code == 2
+    assert out == ""
+    assert f"--rank must be in [1, {d * d}] for --dim {d}, got {d * d + 1}" in err
+
+
 @pytest.mark.parametrize("command", ["coherence", "distinguish"])
 def test_solver_failure_exits_4(capsys, monkeypatch, command):
     def fail(*args, **kwargs):

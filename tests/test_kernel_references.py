@@ -2,7 +2,8 @@
 
 The seesaw advances all restarts as one stack, the D_H lower bound runs
 one stacked threshold search over all its candidates, and
-complete_isometry carries its residuals across pivot rounds. Each is meant to run the same
+complete_isometry carries its residuals across pivot rounds, and
+cohering_power reads every basis image from one slice of J. Each is meant to run the same
 floating-point operations as the one-at-a-time code it replaced, so every
 comparison here is exact (== and np.array_equal), never a tolerance.
 
@@ -51,6 +52,18 @@ def ref_povm_candidate(taus, m, n):
     supp = v[:, w > 1e-12]
     pker = np.eye(n) - supp @ supp.conj().T
     return si @ (taus / m) @ si + pker / m
+
+
+def ref_cohering_power(ch, measure):
+    # one basis state at a time, each image a full contraction of J
+    d = ch.dim
+    best = 0.0
+    for k in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[k, k] = 1.0
+        image = d * np.einsum("ikjl,kl->ij", ch.jam.reshape(d, d, d, d), e)
+        best = max(best, coh._state_coherence(image, measure))
+    return best
 
 
 def ref_strategy_value(povm, taus, m):
@@ -354,13 +367,30 @@ def test_strategy_values_rows_match_one_row_calls(d, m):
     n = d * d
     for k in (0, 1, 8):
         psis = np.array([haar_vector(rng.derive(100 + i), n) for i in range(2 * k)]).reshape(2, k, n)
-        # two Hermitian stacks of the seesaw's shape; _povm_candidate takes no empty stack
+        # two Hermitian stacks of the seesaw's shape, restarts = 0 included
         taus, povms = lifted.forward(psis[0]), lifted.forward(psis[1])
         got = coh._strategy_values(povms, taus, m)
         assert got.shape == (k,)
         for row, povm, tau in zip(got, povms, taus):
             assert row == coh._strategy_values(povm[None], tau[None], m)[0]
             assert row == ref_strategy_value(povm, tau, m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_povm_candidate_rows_match_single_stack_reference(d, m):
+    # every row of a stacked POVM step has the bits of its one-stack reference,
+    # and the empty stack of restarts = 0 gives an empty (0, M, n, n) result
+    rng = Rng(28_000 + 10 * d + m)
+    lifted = coh._Lifted([chn.random_channel(rng.derive(j), d, 1 + j % (d * d)) for j in range(m)])
+    n = d * d
+    for k in (0, 1, 8):
+        psis = np.array([haar_vector(rng.derive(100 + i), n) for i in range(k)]).reshape(k, n)
+        taus = lifted.forward(psis)
+        got = coh._povm_candidate(taus, m, n)
+        assert got.shape == (k, m, n, n) and got.dtype == complex
+        for row, tau in zip(got, taus):
+            assert np.array_equal(row, ref_povm_candidate(tau, m, n))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -401,6 +431,26 @@ def test_sample_and_random_channel_match_per_matrix_reference():
         assert np.array_equal(sup.sample(Rng(26_000 + seed), d).c, ref_sample(Rng(26_000 + seed), d))
         assert np.array_equal(chn.random_channel(Rng(27_000 + seed), d, rank).jam,
                               ref_random_channel(Rng(27_000 + seed), d, rank))
+
+
+def _cohering_power_channels():
+    rng = Rng(29_000)
+    for d in (1, 2, 3, 4):
+        for rank in range(1, d * d + 1):
+            for trial in range(6):
+                r = rng.derive(1000 * d + 10 * rank + trial)
+                ch = chn.random_channel(r.derive(0), d, rank)
+                yield ch
+                yield sup.apply(sup.sample(r.derive(1), d), ch)
+
+
+def test_cohering_power_matches_per_basis_state_reference():
+    n = 0
+    for ch in _cohering_power_channels():
+        for measure in coh.MEASURES:
+            assert coh.cohering_power(ch, measure) == ref_cohering_power(ch, measure)
+            n += 1
+    assert n >= 600
 
 
 def _robustness_channels():
