@@ -56,54 +56,42 @@ _TOLERANCES = {
 }
 
 
-def _number(kind: type, text: str):
-    """kind(text), or None for a non-number, so each type function below
-    raises its own message instead of argparse naming the function."""
-    try:
-        return kind(text)
-    except ValueError:
-        return None
+def _flag_type(kind: type, message: str, *rules):
+    """An argparse type function: kind(text), checked by each (ok, message)
+    rule in turn. A text kind cannot parse gets `message`, a value that
+    fails a rule gets that rule's message; both are raised as
+    "<message>, got <text>", so argparse names the flag, not this function."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{message}, got {text}") from None
+        for ok, why in rules:
+            if not ok(value):
+                raise argparse.ArgumentTypeError(f"{why}, got {text}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = _number(int, text)
-    if value is None or value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+_POSITIVE = "must be a positive integer"
+_SEED = "seed must be an integer in 0..2^64-1"
+_EPS = "eps must be a number in [0, 1)"
+_FINITE = "must be a finite number"
+
+_positive_int = _flag_type(int, _POSITIVE, (lambda v: v > 0, _POSITIVE))
+_uint64 = _flag_type(int, _SEED, (lambda v: 0 <= v <= SEED_MAX, _SEED))
+_eps_value = _flag_type(float, _EPS, (lambda v: 0.0 <= v < 1.0, _EPS))
+_tol_value = _flag_type(
+    float, _FINITE,
+    (math.isfinite, _FINITE),  # a NaN or inf tolerance would also reach the report
+    (lambda v: v >= 0.0, "must not be negative"),  # no residual is below a negative bound
+)
 
 
 def _int_up_to(cap: int):
     """Type function for an integer flag in 1..cap; a non-number gets the
     message of any positive-integer flag."""
-    def parse(text: str) -> int:
-        value = _number(int, text)
-        if value is not None and not 1 <= value <= cap:
-            raise argparse.ArgumentTypeError(f"must be an integer in 1..{cap}, got {text}")
-        return _positive_int(text)
-    return parse
-
-
-def _uint64(text: str) -> int:
-    value = _number(int, text)
-    if value is None or not 0 <= value <= SEED_MAX:
-        raise argparse.ArgumentTypeError(f"seed must be an integer in 0..2^64-1, got {text}")
-    return value
-
-
-def _tol_value(text: str) -> float:
-    value = _number(float, text)
-    if value is None or not math.isfinite(value):  # a NaN or inf tolerance would also reach the report
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    if value < 0.0:  # no residual is below a negative bound, so every check would fail
-        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
-    return value
-
-
-def _eps_value(text: str) -> float:
-    value = _number(float, text)
-    if value is None or not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"eps must be a number in [0, 1), got {text}")
-    return value
+    return _flag_type(int, _POSITIVE, (lambda v: 1 <= v <= cap, f"must be an integer in 1..{cap}"))
 
 
 @functools.cache  # parsing keeps no state in the parser; build it once per process
@@ -288,9 +276,9 @@ def _cmd_coherence(args, tol: dict, seed: int):
                                              restarts=args.restarts, rng=rng.derive(1000 * j))
         bounds.append({
             "eps": eps,
-            "dh_divergence_lower": ser.encode_float(dh),
+            "dh_divergence_lower": dh,
             # count of channels reachable from this gate via dephasing superchannels
-            "image_count_bound": ser.encode_float(2.0 ** dh),
+            "image_count_bound": 2.0 ** dh,
             # count of dephasing superchannels distinguishable using this gate
             "discrimination_count_bound": (1.0 + cert.value) / (1.0 - eps),
         })

@@ -41,10 +41,10 @@ class Rng:
     def integers(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
+    def uniform(self, size=None):
         if size is None:
-            return float(self._gen.uniform(low, high))
-        return self._gen.uniform(low, high, size=size)
+            return float(self._gen.uniform())
+        return self._gen.uniform(size=size)
 
 
 def haar_unitary(rng: Rng, d: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 solver artifacts.
 
 Matrix schema: {"rows": r, "cols": c, "data": [[re, im], ...]} with the data
-list in row-major order. Reports are strict JSON: `dumps` writes a NaN as
-null and +inf / -inf as the strings "inf" / "-inf".
+list in row-major order. Reports are strict JSON, and `dumps` is the one
+place that writes a non-finite float: a NaN as null and +inf / -inf as the
+strings "inf" / "-inf". The codecs below hand it floats as they are.
 """
 
 from __future__ import annotations
@@ -96,15 +97,6 @@ def _decode_entries(data: list, cols: int) -> np.ndarray:
     return flat
 
 
-def encode_float(x: float):
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        raise ValueError("refusing to serialize NaN")
-    return x
-
-
 def channel_to_json(ch: Channel) -> dict:
     return {"dim": int(ch.dim), "jamiolkowski": matrix_to_json(ch.jam)}
 
@@ -153,7 +145,7 @@ def violation_to_json(v: Violation) -> dict:
     return {
         "kind": v.kind,
         "indices": list(v.indices),
-        "defect": encode_float(v.defect),
+        "defect": v.defect,
         "witness_channel": None if v.witness is None else channel_to_json(v.witness),
     }
 
@@ -192,9 +184,9 @@ def realization_from_json(obj) -> SuperRealization:
 
 def certificate_to_json(cert) -> dict:
     out = {
-        "value": encode_float(cert.value),
-        "lower_bound": encode_float(cert.lower_bound),
-        "primal_dual_gap": encode_float(cert.primal_dual_gap),
+        "value": cert.value,
+        "lower_bound": cert.lower_bound,
+        "primal_dual_gap": cert.primal_dual_gap,
         "classical_target": matrix_to_json(np.asarray(cert.classical_target, dtype=complex)),
         "noise_channel": None,
     }
@@ -209,7 +201,7 @@ def instance_to_json(inst) -> dict:
         "superchannels": [superchannel_to_json(sc) for sc in inst.superchannels],
         "input_state": matrix_to_json(inst.input_state),
         "povm": [matrix_to_json(b) for b in inst.povm],
-        "p_succ": encode_float(inst.p_succ),
+        "p_succ": inst.p_succ,
         "iteration_log": _log_summary(inst.iteration_log),
     }
 

@@ -91,3 +91,13 @@ def test_raising_criterion_keeps_its_name(monkeypatch):
     for r in rows:
         assert r.passed is False
         assert r.detail["error"] == "RuntimeError: forced"
+
+
+def test_too_fine_grid_resolution_fails_only_criterion_9():
+    # the grid oracle refuses a resolution below its floor before building
+    # any grid, so criterion 9 fails with that error and the others run
+    rows = verify.run_all(seed=0, trials=1, tolerances={"grid": 1e-9})
+    failed = {r.cid: r.detail for r in rows if not r.passed}
+    assert list(failed) == [9]
+    assert failed[9]["error"] == ("ValueError: grid resolution must be finite and in "
+                                  "[1e-06, 0.5], got 1e-09")
