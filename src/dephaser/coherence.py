@@ -28,6 +28,7 @@ FEAS_TOL = 1e-8
 GAP_TOL = 1e-8  # certified duality gap value - lower_bound at which robustness stops
 MAX_PD_ITERS = 25  # primal-dual iterations per robustness call before SolverError
 SEESAW_ITERS = 40  # alternating steps per seesaw restart
+MERGE_TOL = 1e-4  # Frobenius distance of system marginals at which an M = 2 restart joins a leader
 
 
 class SolverError(RuntimeError):
@@ -619,7 +620,9 @@ class DiscriminationInstance:
 
     p_succ is the evaluated success probability of the stored strategy and a
     lower bound on the optimum; iteration_log holds {restart, iter,
-    objective} records, nondecreasing within each restart.
+    objective, joined} records, nondecreasing within each restart. joined is
+    None except in the last record of a restart retired behind a leading one
+    (M = 2, see discrimination_seesaw), where it is the leader's index.
     """
 
     gate: Channel
@@ -656,6 +659,23 @@ def _strategy_values(povms: np.ndarray, taus: np.ndarray, m: int) -> np.ndarray:
     return (povms.view(float).reshape(k, width) * taus.view(float).reshape(k, width)).sum(-1) / m
 
 
+def _leaders(psis: np.ndarray, vals: np.ndarray, d: int) -> np.ndarray:
+    """Per row of k running M = 2 restarts: among the rows ahead of it (a
+    higher value; on a tie, a lower row) whose system marginal Psi Psi^dag
+    lies within MERGE_TOL of its own in Frobenius norm, the highest-valued
+    one (on a tie, the lowest), else -1. The squared distances come from the
+    (k, k) Gram matrix of the flattened marginals."""
+    k = len(psis)
+    big = psis.reshape(k, d, d)
+    marg = (big @ big.conj().swapaxes(-1, -2)).view(float).reshape(k, -1)
+    gram = marg @ marg.T
+    sq = np.diag(gram)
+    ahead = (vals[None, :] > vals[:, None]) | ((vals[None, :] == vals[:, None]) & np.tri(k, k, -1, dtype=bool))
+    ahead &= sq[:, None] + sq[None, :] - 2.0 * gram <= MERGE_TOL ** 2
+    lead = np.where(ahead, vals[None, :], -np.inf).argmax(axis=1)
+    return np.where(ahead.any(axis=1), lead, -1)
+
+
 def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
                           rng: Rng | None = None) -> DiscriminationInstance:
     """Alternating optimization of the input state and POVM for discriminating
@@ -676,6 +696,17 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     a restart's rows go back to the full arrays when it stops. Each
     restart's arithmetic is its own, bit for bit as if it ran alone. An
     iteration in which no restart's input moves skips the forward map.
+
+    Retirement rule (M = 2 only): the accepted POVM is the Helstrom projector
+    of the current input, and the value, the Helstrom step and the input step
+    are all covariant under psi -> (I (x) V) psi, P -> (I (x) V) P (I (x) V)^dag
+    for a unitary V on the reference, so a restart's future depends only on
+    its system marginal rho_S = Psi Psi^dag. After each iteration's stop
+    test, every running restart that is behind another running restart
+    (lower value; on a tie, higher index) whose rho_S lies within MERGE_TOL
+    in Frobenius norm is retired (_leaders). It keeps its log up to that
+    iteration, whose record names the leader in joined, and it is never a
+    candidate for the reported strategy.
 
     Tie rule: restarts are taken in index order, and one replaces the
     incumbent (first the baseline: maximally entangled input, uniform POVM)
@@ -711,6 +742,7 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     objs = np.empty((restarts, SEESAW_ITERS + 1))  # each restart's objective after iteration 0, 1, ...
     objs[:, 0] = cur
     last = np.full(restarts, SEESAW_ITERS)  # each restart's final iteration
+    joined = np.full(restarts, -1)  # the leading restart each retired restart joined, else -1
     ids, psi_a, taus_a, povm_a, cur_a, objs_a = np.arange(restarts), psi, taus, povm, cur, objs
     for it in range(1, SEESAW_ITERS + 1):
         if not ids.size:
@@ -727,20 +759,28 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
             taus_a[sel] = lifted.forward(psi_a[sel])
             cur_a[sel] = _strategy_values(povm_a[sel], taus_a[sel], m)
         objs_a[:, it] = cur_a
-        if it > 2 and (stop := objs_a[:, it] - objs_a[:, it - 2] < 1e-13).any():
-            done = ids[stop]
-            psi[done], povm[done], cur[done], objs[done], last[done] = \
-                psi_a[stop], povm_a[stop], cur_a[stop], objs_a[stop], it
-            keep = ~stop
+        done = objs_a[:, it] - objs_a[:, it - 2] < 1e-13 if it > 2 else np.zeros(ids.size, dtype=bool)
+        if m == 2 and (live := np.flatnonzero(~done)).size > 1:
+            lead = _leaders(psi_a[live], cur_a[live], d)
+            behind = lead >= 0
+            joined[ids[live[behind]]] = ids[live[lead[behind]]]
+            done[live[behind]] = True
+        if done.any():
+            gone = ids[done]
+            psi[gone], povm[gone], cur[gone], objs[gone], last[gone] = \
+                psi_a[done], povm_a[done], cur_a[done], objs_a[done], it
+            keep = ~done
             ids, psi_a, taus_a, povm_a, cur_a, objs_a = \
                 ids[keep], psi_a[keep], taus_a[keep], povm_a[keep], cur_a[keep], objs_a[keep]
     psi[ids], povm[ids], cur[ids], objs[ids] = psi_a, povm_a, cur_a, objs_a
+    joins = [None if j < 0 else j for j in joined.tolist()]
     for i, val in enumerate(cur.tolist()):
-        if val > best_val + m * n * n * math.ulp(best_val):
+        if joins[i] is None and val > best_val + m * n * n * math.ulp(best_val):
             best_val, best_psi, best_povm = val, psi[i], povm[i]
     p = float(_strategy_values(best_povm[None], lifted.forward(best_psi[None]), m)[0])
-    log = tuple({"restart": rs, "iter": it, "objective": obj}
-                for rs in range(restarts) for it, obj in enumerate(objs[rs, :last[rs] + 1].tolist()))
+    log = tuple({"restart": rs, "iter": it, "objective": obj, "joined": joins[rs] if it == end else None}
+                for rs, end in enumerate(last.tolist())
+                for it, obj in enumerate(objs[rs, :end + 1].tolist()))
     return DiscriminationInstance(gate, scs, np.outer(best_psi, best_psi.conj()),
                                   tuple(best_povm), p, log)
 

@@ -207,13 +207,14 @@ def instance_to_json(inst) -> dict:
 
 
 def _log_summary(log) -> list[dict]:
-    """One row per restart of a seesaw log: its iteration count and its
-    first and last objective."""
+    """One row per restart of a seesaw log: its iteration count, its first
+    and last objective, and the leading restart it joined (or None)."""
     rows: dict = {}
     for rec in log:
         row = rows.setdefault(rec["restart"], {"restart": rec["restart"], "start": rec["objective"]})
         row["iterations"] = rec["iter"]
         row["final"] = rec["objective"]
+        row["joined"] = rec["joined"]
     return list(rows.values())
 
 

@@ -69,9 +69,10 @@ class SuperRealization:
     """Physical realization Xi[E] = average over k of V-side conditioning:
 
     Xi[E](rho) = sum over env outcomes of V_i E(U_k . U_k^dag) with the
-    pre-unitaries U_k entangling a d-level memory and the post-unitaries V_i
-    conditioned on the output index; us has length d (indexed by the input
-    basis label k), vs has length d (indexed by the output basis label i).
+    pre-unitaries U_k entangling a d^2-level memory (the dimension of C's
+    Gram vectors) and the post-unitaries V_i conditioned on the output index;
+    us has length d (indexed by the input basis label k), vs has length d
+    (indexed by the output basis label i), each a d^2 x d^2 unitary.
     """
 
     us: tuple[np.ndarray, ...]
@@ -183,7 +184,7 @@ def apply_via_super_jam(sc: DephasingSuperchannel, ch: Channel) -> Channel:
 
 
 def realize(sc: DephasingSuperchannel) -> SuperRealization:
-    """Pre/post unitaries on system (x) d-level memory reproducing Xi.
+    """Pre/post unitaries on system (x) d^2-level memory reproducing Xi.
 
     Gram vectors xi with <xi_(i'k') | xi_(ik)> = C_(ik),(i'k') are split as
     xi_(ik) = V_i U_k |0>: U_k maps the memory ground state to the k-th

@@ -205,7 +205,10 @@ def _c6_dephasing_closure(cfg: VerifyConfig):
 def _c7_cohering_monotonicity(cfg: VerifyConfig):
     """Monte Carlo check that dephasing superchannels never increase the L1
     cohering power of a channel: the worst signed excess and the quantiles
-    of the slack cohering_power(E) - cohering_power(Xi[E]) per dimension."""
+    of the slack cohering_power(E) - cohering_power(Xi[E]) per dimension.
+    Absolute anchor: the Fourier gate maps every basis state to a uniform
+    superposition, so its L1 cohering power is d - 1 and its REL_ENT
+    cohering power log2 d, held to the same tolerance at d = 2-4."""
     tol = cfg.tol["mono"]
     detail = {}
     for d, full in ((2, 1000), (3, 200)):
@@ -233,6 +236,12 @@ def _c7_cohering_monotonicity(cfg: VerifyConfig):
             "ok": violations == 0,
         }
     worst = max(r["max_violation"] for r in detail.values())
+    anchor = 0.0
+    for d in (2, 3, 4):
+        fourier = chn.unitary_channel(np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / math.sqrt(d))
+        anchor = max(anchor, abs(coh.cohering_power(fourier, coh.L1) - (d - 1)),
+                     abs(coh.cohering_power(fourier, coh.REL_ENT) - math.log2(d)))
+    detail["fourier_anchor"] = {"dims": [2, 3, 4], "max_deviation": anchor, "ok": anchor <= tol}
     passed = all(r["ok"] for r in detail.values())
     return passed, worst, tol, detail
 

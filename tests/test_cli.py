@@ -1,7 +1,10 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -701,6 +704,17 @@ def test_sample_channel_kinds(capsys, kind, d):
                 assert len(chn.to_kraus(ch)) == (d * d if rank is None else rank)
             else:
                 assert ser.dephasing_from_json(item).dim == d
+
+
+def test_python_m_dephaser_runs_the_cli():
+    # python -m dephaser is the console script's main, with the package on
+    # the child's path wherever it was imported from here
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "dephaser", "sample", "--dim", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "sample"
 
 
 @pytest.mark.parametrize("kind", ["superchannel", "dephasing-channel"])

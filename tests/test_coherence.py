@@ -9,7 +9,7 @@ from dephaser import channels as chn
 from dephaser import coherence as coh
 from dephaser import superchannels as sup
 from dephaser import verify as ver
-from dephaser.sampling import Rng, haar_vector, random_state
+from dephaser.sampling import Rng, haar_unitary, haar_vector, random_state
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -508,6 +508,32 @@ def test_seesaw_restarts_share_eigensolves(monkeypatch, restarts):
     assert calls[0] <= 2 * coh.SEESAW_ITERS + 1
 
 
+def test_seesaw_retires_restarts_behind_a_leader():
+    # M = 2: a retired restart's last record names its leader, which was
+    # still running and ahead of it at that iteration (on a tie, a lower
+    # index); no earlier record names one, and p_succ is the best final of
+    # the restarts that were not retired. M = 3 retires none.
+    rng = Rng(88_100)
+    gate = chn.random_channel(rng.derive(0), 3, 2)
+    scs = [sup.sample(rng.derive(1 + k), 3) for k in range(3)]
+    inst = coh.discrimination_seesaw(gate, scs[:2], restarts=16, rng=rng.derive(9))
+    by: dict = {}
+    for rec in inst.iteration_log:
+        by.setdefault(rec["restart"], []).append(rec)
+    assert all(rec["joined"] is None for recs in by.values() for rec in recs[:-1])
+    retired = {rs: recs[-1] for rs, recs in by.items() if recs[-1]["joined"] is not None}
+    assert retired
+    for rs, rec in retired.items():
+        lead = by[rec["joined"]]
+        assert len(lead) > rec["iter"]
+        ahead = lead[rec["iter"]]["objective"]
+        assert ahead > rec["objective"] or (ahead == rec["objective"] and rec["joined"] < rs)
+    finals = [recs[-1]["objective"] for rs, recs in by.items() if rs not in retired]
+    assert abs(max(finals) - inst.p_succ) <= 1e-12
+    inst = coh.discrimination_seesaw(gate, scs, restarts=16, rng=rng.derive(9))
+    assert all(rec["joined"] is None for rec in inst.iteration_log)
+
+
 def test_negative_restarts_rejected():
     gate = chn.random_channel(Rng(88), 2, 2)
     scs = [sup.sample(Rng(89).derive(k), 2) for k in range(2)]
@@ -640,6 +666,32 @@ def test_seesaw_pinned_success_probability(d, p_succ):
     scs = [sup.sample(rng.derive(10 + i), d) for i in range(2)]
     inst = coh.discrimination_seesaw(gate, scs, restarts=4, rng=rng.derive(2))
     assert abs(inst.p_succ - p_succ) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_seesaw_step_is_covariant_under_reference_unitaries(d):
+    # the premise of the seesaw's retirement rule at M = 2: with
+    # psi -> (I (x) V) psi for a unitary V on the reference, the Helstrom
+    # value is unchanged and the next input moves to (I (x) V) times the
+    # next input, up to a phase; so a restart's future depends on its
+    # system marginal alone
+    rng = Rng(62_000 + d)
+    n = d * d
+    for trial in range(10):
+        rt = rng.derive(trial)
+        gate = chn.random_channel(rt.derive(0), d, 1 + trial % n)
+        lifted = coh._Lifted([sup.apply(sup.sample(rt.derive(1 + k), d), gate) for k in range(2)])
+        lift_v = np.kron(np.eye(d), haar_unitary(rt.derive(3), d))
+        psi = haar_vector(rt.derive(4), n)
+        taus = lifted.forward(np.stack([psi, lift_v @ psi]))
+        povms = coh._povm_candidate(taus, 2, n)
+        vals = coh._strategy_values(povms, taus, 2)
+        assert abs(vals[0] - vals[1]) <= 1e-13
+        w, vecs = np.linalg.eigh(lifted.dual(povms) / 2)
+        mapped, nxt = lift_v @ vecs[0, :, -1], vecs[1, :, -1]
+        phase = np.vdot(mapped, nxt)
+        assert abs(w[0, -1] - w[1, -1]) <= 1e-13
+        assert np.abs(nxt - phase / abs(phase) * mapped).max() <= 1e-9
 
 
 def _certificate_channels():

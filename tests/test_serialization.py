@@ -183,7 +183,8 @@ def test_instance_json():
     assert len(obj["povm"]) == 2
     first = [rec for rec in inst.iteration_log if rec["restart"] == 0]
     assert obj["iteration_log"][0] == {"restart": 0, "iterations": first[-1]["iter"],
-                                       "start": first[0]["objective"], "final": first[-1]["objective"]}
+                                       "start": first[0]["objective"], "final": first[-1]["objective"],
+                                       "joined": first[-1]["joined"]}
 
 
 def test_instance_json_summarises_each_restart():
