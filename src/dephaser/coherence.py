@@ -27,8 +27,8 @@ DH_VALUE_FLOOR = 1e-12  # optimum below this reports +inf
 FEAS_TOL = 1e-8
 GAP_TOL = 1e-8  # certified duality gap value - lower_bound at which robustness stops
 MAX_PD_ITERS = 25  # primal-dual iterations per robustness call before SolverError
-SEESAW_ITERS = 40  # alternating steps per seesaw restart
-MERGE_TOL = 1e-4  # Frobenius distance of system marginals at which an M = 2 restart joins a leader
+SEESAW_ITERS = 80  # alternating steps per seesaw restart
+_RACE_ITERS = 4  # M = 2: iterations all restarts run before only the leading one goes on
 
 
 class SolverError(RuntimeError):
@@ -621,8 +621,9 @@ class DiscriminationInstance:
     p_succ is the evaluated success probability of the stored strategy and a
     lower bound on the optimum; iteration_log holds {restart, iter,
     objective, joined} records, nondecreasing within each restart. joined is
-    None except in the last record of a restart retired behind a leading one
-    (M = 2, see discrimination_seesaw), where it is the leader's index.
+    None except in the last record of a restart retired when the M = 2
+    restarts' race ends (see discrimination_seesaw), where it is the index
+    of the leader, the one restart that runs on.
     """
 
     gate: Channel
@@ -659,23 +660,6 @@ def _strategy_values(povms: np.ndarray, taus: np.ndarray, m: int) -> np.ndarray:
     return (povms.view(float).reshape(k, width) * taus.view(float).reshape(k, width)).sum(-1) / m
 
 
-def _leaders(psis: np.ndarray, vals: np.ndarray, d: int) -> np.ndarray:
-    """Per row of k running M = 2 restarts: among the rows ahead of it (a
-    higher value; on a tie, a lower row) whose system marginal Psi Psi^dag
-    lies within MERGE_TOL of its own in Frobenius norm, the highest-valued
-    one (on a tie, the lowest), else -1. The squared distances come from the
-    (k, k) Gram matrix of the flattened marginals."""
-    k = len(psis)
-    big = psis.reshape(k, d, d)
-    marg = (big @ big.conj().swapaxes(-1, -2)).view(float).reshape(k, -1)
-    gram = marg @ marg.T
-    sq = np.diag(gram)
-    ahead = (vals[None, :] > vals[:, None]) | ((vals[None, :] == vals[:, None]) & np.tri(k, k, -1, dtype=bool))
-    ahead &= sq[:, None] + sq[None, :] - 2.0 * gram <= MERGE_TOL ** 2
-    lead = np.where(ahead, vals[None, :], -np.inf).argmax(axis=1)
-    return np.where(ahead.any(axis=1), lead, -1)
-
-
 def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
                           rng: Rng | None = None) -> DiscriminationInstance:
     """Alternating optimization of the input state and POVM for discriminating
@@ -697,16 +681,17 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     restart's arithmetic is its own, bit for bit as if it ran alone. An
     iteration in which no restart's input moves skips the forward map.
 
-    Retirement rule (M = 2 only): the accepted POVM is the Helstrom projector
-    of the current input, and the value, the Helstrom step and the input step
-    are all covariant under psi -> (I (x) V) psi, P -> (I (x) V) P (I (x) V)^dag
-    for a unitary V on the reference, so a restart's future depends only on
-    its system marginal rho_S = Psi Psi^dag. After each iteration's stop
-    test, every running restart that is behind another running restart
-    (lower value; on a tie, higher index) whose rho_S lies within MERGE_TOL
-    in Frobenius norm is retired (_leaders). It keeps its log up to that
-    iteration, whose record names the leader in joined, and it is never a
-    candidate for the reported strategy.
+    Race rule (M = 2 only): all restarts run together for _RACE_ITERS
+    iterations; then every running restart but the highest-valued one (on a
+    tie, the lowest index) is retired. A retired restart keeps its log up to
+    that iteration, whose record names the leader in joined, and it is never
+    a candidate for the reported strategy; restarts that stopped earlier
+    stay candidates. The premise: with the Helstrom POVM, the best value over
+    the inputs whose system marginal is sigma = Psi Psi^dag is
+    1/2 + 1/2 g(sigma), g(sigma) = max_{0 <= W <= I (x) sigma} Tr(W C_Delta)
+    for the Choi difference C_Delta of the two outputs, and g is concave in
+    sigma (Watrous, Theory of Computing 5, 2009). So every restart climbs to
+    the same maximum, and the leader alone finishes the climb.
 
     Tie rule: restarts are taken in index order, and one replaces the
     incumbent (first the baseline: maximally entangled input, uniform POVM)
@@ -760,11 +745,11 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
             cur_a[sel] = _strategy_values(povm_a[sel], taus_a[sel], m)
         objs_a[:, it] = cur_a
         done = objs_a[:, it] - objs_a[:, it - 2] < 1e-13 if it > 2 else np.zeros(ids.size, dtype=bool)
-        if m == 2 and (live := np.flatnonzero(~done)).size > 1:
-            lead = _leaders(psi_a[live], cur_a[live], d)
-            behind = lead >= 0
-            joined[ids[live[behind]]] = ids[live[lead[behind]]]
-            done[live[behind]] = True
+        if m == 2 and it == _RACE_ITERS and (live := np.flatnonzero(~done)).size:
+            lead = live[cur_a[live].argmax()]  # the first maximum: on a tie, the lowest index
+            behind = live[live != lead]
+            joined[ids[behind]] = ids[lead]
+            done[behind] = True
         if done.any():
             gone = ids[done]
             psi[gone], povm[gone], cur[gone], objs[gone], last[gone] = \

@@ -90,12 +90,15 @@ def _c1_fixture_npt_spectrum(cfg: VerifyConfig):
     dev = abs(float(w.min()) - (1.0 - math.sqrt(2.0)))
     psd_ok = bool(herm_eig(sc.c)[0][0] >= -cfg.tol["psd"])
     diag_dev = float(np.abs(np.diag(sc.c) - 1.0).max())
-    passed = dev <= tol and psd_ok and diag_dev <= cfg.tol["psd"]
+    # label anchor: the NPT fixture is NPT, the sign-flip fixture a product
+    labels = (ssc.memory_class(sc).label, ssc.memory_class(fx.qubit_sign_flip_superchannel()).label)
+    passed = dev <= tol and psd_ok and diag_dev <= cfg.tol["psd"] and labels == ("NPT", "PRODUCT")
     return passed, dev, tol, {
         "pt_min_eig": float(w.min()),
         "expected": 1.0 - math.sqrt(2.0),
         "fixture_psd": psd_ok,
         "diag_deviation": diag_dev,
+        "labels": list(labels),
     }
 
 
@@ -153,9 +156,14 @@ def _c4_transition_invariance(cfg: VerifyConfig):
         dev = float(np.abs(chn.transition_matrix(out) - chn.transition_matrix(ch)).max())
         worst = max(worst, dev)
         total += 1
+    # absolute anchor: an asymmetric T survives classical_channel and back
+    t = _random_stochastic(cfg.rng(4).derive(1), 3)
+    anchor = float(np.abs(chn.transition_matrix(chn.classical_channel(t)) - t).max())
+    worst = max(worst, anchor)
     return worst <= tol, worst, tol, {
         "pairs": total,
         "cptp_tol": cfg.tol["psd"],
+        "anchor_deviation": anchor,
     }
 
 

@@ -491,7 +491,10 @@ def test_seesaw_classical_gate_is_blind():
 @pytest.mark.parametrize("restarts", [8, 32])
 def test_seesaw_restarts_share_eigensolves(monkeypatch, restarts):
     # all restarts advance as one stack: two batched eigh calls per iteration
-    # (POVM candidate, input step), not two per restart and iteration
+    # (POVM candidate, input step), not two per restart and iteration; and,
+    # as a cost guard, at M = 2 only the race's leader runs past
+    # _RACE_ITERS, so the log holds at most restarts (R + 1) records plus
+    # the leader's climb
     rng = Rng(87)
     gate = chn.random_channel(rng.derive(0), 3, 2)
     scs = [sup.sample(rng.derive(1 + k), 3) for k in range(2)]
@@ -506,13 +509,16 @@ def test_seesaw_restarts_share_eigensolves(monkeypatch, restarts):
     inst = coh.discrimination_seesaw(gate, scs, restarts=restarts, rng=Rng(9))
     assert {rec["restart"] for rec in inst.iteration_log} == set(range(restarts))
     assert calls[0] <= 2 * coh.SEESAW_ITERS + 1
+    assert len(inst.iteration_log) <= restarts * (coh._RACE_ITERS + 1) + coh.SEESAW_ITERS + 1
 
 
 def test_seesaw_retires_restarts_behind_a_leader():
-    # M = 2: a retired restart's last record names its leader, which was
-    # still running and ahead of it at that iteration (on a tie, a lower
-    # index); no earlier record names one, and p_succ is the best final of
-    # the restarts that were not retired. M = 3 retires none.
+    # M = 2: after the race's _RACE_ITERS iterations every running restart
+    # but the highest-valued one (on a tie, the lowest index) is retired; its
+    # last record, at that iteration, names the leader, which alone runs on.
+    # No earlier record names one, and p_succ is the best final of the
+    # restarts that were not retired. M = 3 retires none.
+    race = coh._RACE_ITERS
     rng = Rng(88_100)
     gate = chn.random_channel(rng.derive(0), 3, 2)
     scs = [sup.sample(rng.derive(1 + k), 3) for k in range(3)]
@@ -523,11 +529,13 @@ def test_seesaw_retires_restarts_behind_a_leader():
     assert all(rec["joined"] is None for recs in by.values() for rec in recs[:-1])
     retired = {rs: recs[-1] for rs, recs in by.items() if recs[-1]["joined"] is not None}
     assert retired
+    (lead,) = {rec["joined"] for rec in retired.values()}
+    assert lead not in retired and len(by[lead]) > race
+    ahead = by[lead][race]["objective"]
     for rs, rec in retired.items():
-        lead = by[rec["joined"]]
-        assert len(lead) > rec["iter"]
-        ahead = lead[rec["iter"]]["objective"]
-        assert ahead > rec["objective"] or (ahead == rec["objective"] and rec["joined"] < rs)
+        assert rec["iter"] == race
+        assert ahead > rec["objective"] or (ahead == rec["objective"] and lead < rs)
+    assert all(len(recs) <= race + 1 for rs, recs in by.items() if rs != lead)
     finals = [recs[-1]["objective"] for rs, recs in by.items() if rs not in retired]
     assert abs(max(finals) - inst.p_succ) <= 1e-12
     inst = coh.discrimination_seesaw(gate, scs, restarts=16, rng=rng.derive(9))
@@ -670,11 +678,11 @@ def test_seesaw_pinned_success_probability(d, p_succ):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_seesaw_step_is_covariant_under_reference_unitaries(d):
-    # the premise of the seesaw's retirement rule at M = 2: with
-    # psi -> (I (x) V) psi for a unitary V on the reference, the Helstrom
-    # value is unchanged and the next input moves to (I (x) V) times the
-    # next input, up to a phase; so a restart's future depends on its
-    # system marginal alone
+    # with psi -> (I (x) V) psi for a unitary V on the reference, the
+    # Helstrom value is unchanged and the next input moves to (I (x) V)
+    # times the next input, up to a phase; so at M = 2 a restart's future
+    # depends on its system marginal alone, the variable of the concave g
+    # that the seesaw's race rests on (next test)
     rng = Rng(62_000 + d)
     n = d * d
     for trial in range(10):
@@ -692,6 +700,32 @@ def test_seesaw_step_is_covariant_under_reference_unitaries(d):
         phase = np.vdot(mapped, nxt)
         assert abs(w[0, -1] - w[1, -1]) <= 1e-13
         assert np.abs(nxt - phase / abs(phase) * mapped).max() <= 1e-9
+
+
+def _helstrom_gap(lifted, sigma):
+    # g(sigma) = 2 p - 1 for the Helstrom value p at psi = vec(sqrt(sigma))
+    n = len(sigma) ** 2
+    w, v = np.linalg.eigh(sigma)
+    psi = ((v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T).reshape(-1)
+    taus = lifted.forward(psi[None])
+    return 2.0 * coh._strategy_values(coh._povm_candidate(taus, 2, n), taus, 2)[0] - 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_helstrom_gap_is_concave_in_the_system_marginal(d):
+    # the premise of the seesaw's race at M = 2: the best Helstrom value over
+    # inputs with system marginal sigma is 1/2 + 1/2 g(sigma), with
+    # g(sigma) = max_{0 <= W <= I (x) sigma} Tr(W C_Delta) concave in sigma
+    # (Watrous 2009), so every restart climbs to the same maximum
+    rng = Rng(62_100 + d)
+    for trial in range(100):
+        rt = rng.derive(trial)
+        gate = chn.random_channel(rt.derive(0), d, 1 + trial % (d * d))
+        lifted = coh._Lifted([sup.apply(sup.sample(rt.derive(1 + k), d), gate) for k in range(2)])
+        s1, s2 = (random_state(rt.derive(3 + k), d, pure=(trial + k) % 4 == 0) for k in range(2))
+        lam = float(rt.derive(5).uniform())
+        mixed = _helstrom_gap(lifted, lam * s1 + (1.0 - lam) * s2)
+        assert mixed >= lam * _helstrom_gap(lifted, s1) + (1.0 - lam) * _helstrom_gap(lifted, s2) - 1e-12
 
 
 def _certificate_channels():
