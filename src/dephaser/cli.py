@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("superchannels", type=str, nargs="+",
                    help="two or more superchannel JSON files")
     p.add_argument("--restarts", type=_int_up_to(RESTARTS_MAX), default=32,
-                   help="seesaw restarts; for M = 2 they race a few iterations, then the leader runs on alone")
+                   help="seesaw restarts; for M = 2 they race one iteration, then the leader climbs alone")
 
     p = command("verify", "run the acceptance criteria suite")
     p.add_argument("--trials", type=_positive_int, default=None,

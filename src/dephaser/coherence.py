@@ -27,8 +27,8 @@ DH_VALUE_FLOOR = 1e-12  # optimum below this reports +inf
 FEAS_TOL = 1e-8
 GAP_TOL = 1e-8  # certified duality gap value - lower_bound at which robustness stops
 MAX_PD_ITERS = 25  # primal-dual iterations per robustness call before SolverError
-SEESAW_ITERS = 80  # alternating steps per seesaw restart
-_RACE_ITERS = 4  # M = 2: iterations all restarts run before only the leading one goes on
+SEESAW_ITERS = 80  # steps per seesaw restart; at M = 2 a backstop on the leader's extrapolated cycles
+_RACE_ITERS = 1  # M = 2: iterations all restarts run before only the leading one goes on
 
 
 class SolverError(RuntimeError):
@@ -623,7 +623,8 @@ class DiscriminationInstance:
     objective, joined} records, nondecreasing within each restart. joined is
     None except in the last record of a restart retired when the M = 2
     restarts' race ends (see discrimination_seesaw), where it is the index
-    of the leader, the one restart that runs on.
+    of the leader, the one restart that runs on; the leader's records after
+    the race count its extrapolated cycles, not single steps.
     """
 
     gate: Channel
@@ -681,17 +682,16 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     restart's arithmetic is its own, bit for bit as if it ran alone. An
     iteration in which no restart's input moves skips the forward map.
 
-    Race rule (M = 2 only): all restarts run together for _RACE_ITERS
-    iterations; then every running restart but the highest-valued one (on a
-    tie, the lowest index) is retired. A retired restart keeps its log up to
-    that iteration, whose record names the leader in joined, and it is never
-    a candidate for the reported strategy; restarts that stopped earlier
-    stay candidates. The premise: with the Helstrom POVM, the best value over
-    the inputs whose system marginal is sigma = Psi Psi^dag is
+    Race rule (M = 2 only): all restarts run one iteration together; then
+    every one but the highest-valued (on a tie, the lowest index) is retired:
+    it keeps its log, whose last record names the leader in joined, and is
+    never the reported strategy. The leader climbs alone by extrapolated
+    cycles on its system marginal sigma = Psi Psi^dag (_climb). The premise:
+    with the Helstrom POVM the value depends on psi through sigma alone, as
     1/2 + 1/2 g(sigma), g(sigma) = max_{0 <= W <= I (x) sigma} Tr(W C_Delta)
     for the Choi difference C_Delta of the two outputs, and g is concave in
-    sigma (Watrous, Theory of Computing 5, 2009). So every restart climbs to
-    the same maximum, and the leader alone finishes the climb.
+    sigma (Watrous, Theory of Computing 5, 2009): every restart climbs to
+    the same maximum, and any density matrix sigma' is met at vec(sqrt(sigma')).
 
     Tie rule: restarts are taken in index order, and one replaces the
     incumbent (first the baseline: maximally entangled input, uniform POVM)
@@ -757,6 +757,9 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
             keep = ~done
             ids, psi_a, taus_a, povm_a, cur_a, objs_a = \
                 ids[keep], psi_a[keep], taus_a[keep], povm_a[keep], cur_a[keep], objs_a[keep]
+        if m == 2 and it == _RACE_ITERS and ids.size:  # the leader climbs alone
+            psi_a[0], povm_a[0], cur_a[0], last[ids[0]] = _climb(lifted, psi_a[0], povm_a[0], objs_a[0], it)
+            break
     psi[ids], povm[ids], cur[ids], objs[ids] = psi_a, povm_a, cur_a, objs_a
     joins = [None if j < 0 else j for j in joined.tolist()]
     for i, val in enumerate(cur.tolist()):
@@ -768,6 +771,42 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
                 for it, obj in enumerate(objs[rs, :end + 1].tolist()))
     return DiscriminationInstance(gate, scs, np.outer(best_psi, best_psi.conj()),
                                   tuple(best_povm), p, log)
+
+
+def _climb(lifted: _Lifted, psi: np.ndarray, povm: np.ndarray, objs: np.ndarray, it: int):
+    """The M = 2 leader's climb from the strategy (psi, povm) of value
+    objs[it] by safeguarded SQUAREM (Varadhan & Roland, Scand. J. Stat. 35,
+    2008) on sigma = Psi Psi^dag. A cycle, logged in objs[it + 1], ..., takes
+    two seesaw steps sigma0 -> sigma1 -> sigma2, goes to sigma0 - 2 a r +
+    a^2 v (r = sigma1 - sigma0, v = sigma2 - 2 sigma1 + sigma0,
+    a = min(-1, -|r|/|v|)) clipped to a density matrix, and scores psi2 and
+    vec(sqrt(sigma')) with their Helstrom POVMs in one stack; the higher is
+    kept if it beats the strategy. Stops when a cycle gains under 1e-13 or
+    at SEESAW_ITERS; returns the strategy, its value and the last index."""
+    d = lifted.ks.shape[-1]
+    cur = objs[it]
+    hel = _povm_candidate(lifted.forward(psi[None]), 2, d * d)  # steers the first step
+    for it in range(it + 1, SEESAW_ITERS + 1):
+        psi1 = np.linalg.eigh(lifted.dual(hel) / 2)[1][0, :, -1]
+        hel = _povm_candidate(lifted.forward(psi1[None]), 2, d * d)
+        psi2 = np.linalg.eigh(lifted.dual(hel) / 2)[1][0, :, -1]
+        s0, s1, s2 = (x.reshape(d, d) @ x.reshape(d, d).conj().T for x in (psi, psi1, psi2))
+        r, v = s1 - s0, s2 - 2.0 * s1 + s0
+        a = min(-1.0, -np.linalg.norm(r) / nv) if (nv := np.linalg.norm(v)) > 0 else -1.0
+        w, u = np.linalg.eigh(s0 - 2.0 * a * r + a * a * v)
+        w = np.maximum(w, 0.0)
+        trial = np.stack([psi2, ((u * np.sqrt(w / w.sum())) @ u.conj().T).reshape(-1)])
+        taus = lifted.forward(trial)
+        cands = _povm_candidate(taus, 2, d * d)
+        vals = _strategy_values(cands, taus, 2)
+        j = int(vals.argmax())  # on a tie psi2
+        gain = vals[j] - cur
+        if gain > 0:
+            psi, povm, cur, hel = trial[j], cands[j], float(vals[j]), cands[j:j + 1]
+        objs[it] = cur
+        if gain < 1e-13:
+            break
+    return psi, povm, cur, it
 
 
 def robustness_bound_check(inst: DiscriminationInstance, cert: RobustnessCertificate,

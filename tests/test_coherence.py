@@ -513,12 +513,14 @@ def test_seesaw_restarts_share_eigensolves(monkeypatch, restarts):
 
 
 def test_seesaw_retires_restarts_behind_a_leader():
-    # M = 2: after the race's _RACE_ITERS iterations every running restart
-    # but the highest-valued one (on a tie, the lowest index) is retired; its
-    # last record, at that iteration, names the leader, which alone runs on.
-    # No earlier record names one, and p_succ is the best final of the
-    # restarts that were not retired. M = 3 retires none.
-    race = coh._RACE_ITERS
+    # M = 2: the race is one stacked iteration; the stop test cannot fire
+    # before iteration 3, so every restart races, and then every one but the
+    # highest-valued (on a tie, the lowest index) is retired: its records are
+    # iterations 0 and 1, and the last names the leader. The leader alone
+    # climbs on, one record per extrapolated cycle, nondecreasing, and stops
+    # before the SEESAW_ITERS backstop; p_succ is its final value. M = 3
+    # retires none.
+    assert coh._RACE_ITERS == 1
     rng = Rng(88_100)
     gate = chn.random_channel(rng.derive(0), 3, 2)
     scs = [sup.sample(rng.derive(1 + k), 3) for k in range(3)]
@@ -526,18 +528,18 @@ def test_seesaw_retires_restarts_behind_a_leader():
     by: dict = {}
     for rec in inst.iteration_log:
         by.setdefault(rec["restart"], []).append(rec)
-    assert all(rec["joined"] is None for recs in by.values() for rec in recs[:-1])
-    retired = {rs: recs[-1] for rs, recs in by.items() if recs[-1]["joined"] is not None}
-    assert retired
-    (lead,) = {rec["joined"] for rec in retired.values()}
-    assert lead not in retired and len(by[lead]) > race
-    ahead = by[lead][race]["objective"]
-    for rs, rec in retired.items():
-        assert rec["iter"] == race
-        assert ahead > rec["objective"] or (ahead == rec["objective"] and lead < rs)
-    assert all(len(recs) <= race + 1 for rs, recs in by.items() if rs != lead)
-    finals = [recs[-1]["objective"] for rs, recs in by.items() if rs not in retired]
-    assert abs(max(finals) - inst.p_succ) <= 1e-12
+    retired = {rs: recs for rs, recs in by.items() if recs[-1]["joined"] is not None}
+    (lead,) = set(by) - set(retired)
+    assert len(retired) == 15
+    ahead = by[lead][1]["objective"]
+    for rs, recs in retired.items():
+        assert [rec["iter"] for rec in recs] == [0, 1]
+        assert recs[0]["joined"] is None and recs[1]["joined"] == lead
+        assert ahead > recs[1]["objective"] or (ahead == recs[1]["objective"] and lead < rs)
+    climb = [rec["objective"] for rec in by[lead]]
+    assert all(rec["joined"] is None for rec in by[lead])
+    assert 2 < len(climb) <= coh.SEESAW_ITERS and all(b >= a for a, b in zip(climb, climb[1:]))
+    assert abs(climb[-1] - inst.p_succ) <= 1e-12
     inst = coh.discrimination_seesaw(gate, scs, restarts=16, rng=rng.derive(9))
     assert all(rec["joined"] is None for rec in inst.iteration_log)
 
