@@ -618,21 +618,28 @@ class DiscriminationInstance:
     """Best strategy found for distinguishing M dephasing superchannels
     applied to a known gate, with one side of a maximally entangled probe.
 
-    p_succ is the evaluated success probability of the stored strategy and a
-    lower bound on the optimum; iteration_log holds {restart, iter,
-    objective, joined} records, nondecreasing within each restart. joined is
-    None except in the last record of a restart retired when the M = 2
-    restarts' race ends (see discrimination_seesaw), where it is the index
-    of the leader, the one restart that runs on; the leader's records after
-    the race count its extrapolated cycles, not single steps.
+    The strategy is the input vector psi (input_state = psi psi^dag) and the
+    POVM. p_succ is the raw evaluated success probability of that strategy,
+    never clipped, and a lower bound on the optimum; roundoff can put it
+    above 1 by up to M n^2 ulps (n = d^2), the tie rule's margin.
+    iteration_log holds {restart, iter, objective, joined} records,
+    nondecreasing within each restart. joined is None except in the last
+    record of a restart retired when the M = 2 restarts' race ends (see
+    discrimination_seesaw), where it is the index of the leader, the one
+    restart that runs on; the leader's records after the race count its
+    extrapolated cycles, not single steps.
     """
 
     gate: Channel
     superchannels: tuple[DephasingSuperchannel, ...]
-    input_state: np.ndarray
+    input_vector: np.ndarray
     povm: tuple[np.ndarray, ...]
     p_succ: float
     iteration_log: tuple[dict, ...]
+
+    @property
+    def input_state(self) -> np.ndarray:
+        return np.outer(self.input_vector, self.input_vector.conj())
 
 
 def _povm_candidate(taus: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -769,8 +776,7 @@ def discrimination_seesaw(gate: Channel, scs, restarts: int = 32,
     log = tuple({"restart": rs, "iter": it, "objective": obj, "joined": joins[rs] if it == end else None}
                 for rs, end in enumerate(last.tolist())
                 for it, obj in enumerate(objs[rs, :end + 1].tolist()))
-    return DiscriminationInstance(gate, scs, np.outer(best_psi, best_psi.conj()),
-                                  tuple(best_povm), p, log)
+    return DiscriminationInstance(gate, scs, best_psi, tuple(best_povm), p, log)
 
 
 def _climb(lifted: _Lifted, psi: np.ndarray, povm: np.ndarray, objs: np.ndarray, it: int):

@@ -196,10 +196,10 @@ def certificate_to_json(cert) -> dict:
 
 
 def instance_to_json(inst) -> dict:
+    """The strategy of a discrimination instance, psi as an n x 1 matrix; its
+    gate and superchannels are the caller's inputs and are not repeated."""
     return {
-        "gate": channel_to_json(inst.gate),
-        "superchannels": [superchannel_to_json(sc) for sc in inst.superchannels],
-        "input_state": matrix_to_json(inst.input_state),
+        "input_vector": matrix_to_json(inst.input_vector[:, None]),
         "povm": [matrix_to_json(b) for b in inst.povm],
         "p_succ": inst.p_succ,
         "iteration_log": _log_summary(inst.iteration_log),

@@ -31,7 +31,7 @@ def run_cli(capsys, *argv):
 
 def parse_report(out):
     report = json.loads(out)
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     return report
 
 
@@ -441,6 +441,86 @@ def test_distinguish_hadamard_sign_flip(capsys, tmp_path):
     results = parse_report(out)["results"]
     assert results["instance"]["p_succ"] > 1.0 - 1e-9
     assert results["bound_check"]["ok"] is True
+
+
+def kraus_from_choi(ch):
+    """Kraus operators of a channel from d * jam, the Choi matrix with
+    entries [(i, k), (j, l)] = sum_r K_r[i, k] conj(K_r[j, l])."""
+    d = ch.dim
+    w, v = np.linalg.eigh(d * ch.jam)
+    return [np.sqrt(max(wr, 0.0)) * v[:, r].reshape(d, d) for r, wr in enumerate(w)]
+
+
+def distinguish_cases(tmp_path):
+    """(argv, M) of distinguish calls: the Hadamard sign-flip fixture
+    (p_succ = 1), random M = 2 instances at d = 3 and 4, and an M = 3 one."""
+    ones = write_superchannel(tmp_path, np.ones((4, 4)), 2, name="ones.json")
+    cases = [([fixture_path("hadamard_channel.json"), ones, fixture_path("corr2_sign_flip.json")], 2)]
+    for d, m, seed in ((3, 2, 120), (4, 2, 130), (2, 3, 140)):
+        gate = write_channel(tmp_path, chn.random_channel(Rng(seed), d, 2), name=f"gate{seed}.json")
+        scs = [write_superchannel(tmp_path, sup.sample(Rng(seed + 1 + k), d).c, d, name=f"sc{seed}{k}.json")
+               for k in range(m)]
+        cases.append(([gate, *scs], m))
+    return cases
+
+
+def test_distinguish_report_is_a_certificate(tmp_path, capsys):
+    # the report alone, with the files config.inputs names, fixes p_succ:
+    # rho = psi psi^dag from input_vector and the POVM, evaluated here by a
+    # Kraus sum of each Xi_m[E] (x) I, with no seesaw code
+    for argv, m in distinguish_cases(tmp_path):
+        code, out, _ = run_cli(capsys, "distinguish", *argv, "--restarts", "4", "--seed", "5")
+        assert code == 0
+        report = parse_report(out)
+        inst = report["results"]["instance"]
+        assert "gate" not in inst and "superchannels" not in inst and "input_state" not in inst
+        gate_path, *sc_paths = report["config"]["inputs"]
+        gate = ser.channel_from_json(json.loads(Path(gate_path).read_text()))
+        scs = [ser.superchannel_from_json(json.loads(Path(p).read_text())) for p in sc_paths]
+        assert len(scs) == m
+        d = gate.dim
+        psi = ser.matrix_from_json(inst["input_vector"])
+        assert psi.shape == (d * d, 1)
+        rho = psi @ psi.conj().T
+        povm = [ser.matrix_from_json(p) for p in inst["povm"]]
+        value = 0.0
+        for sc, effect in zip(scs, povm):
+            out_state = sum(kl @ rho @ kl.conj().T
+                            for kl in (np.kron(k, np.eye(d)) for k in kraus_from_choi(sup.apply(sc, gate))))
+            value += float(np.trace(effect @ out_state).real) / m
+        assert abs(value - inst["p_succ"]) <= 1e-12
+        if argv[0].endswith("hadamard_channel.json"):
+            assert value > 1.0 - 1e-12
+
+
+def matrix_data(obj):
+    """Every matrix `data` list in a decoded JSON value."""
+    if isinstance(obj, dict):
+        if "data" in obj and {"rows", "cols"} <= set(obj):
+            yield obj["data"]
+        for v in obj.values():
+            yield from matrix_data(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from matrix_data(v)
+
+
+def test_results_never_echo_an_input_matrix(tmp_path, capsys):
+    # config.inputs names the input files, so no subcommand writes their
+    # matrices into results again
+    d = 3
+    sc = write_superchannel(tmp_path, sup.sample(Rng(150), d).c, d, name="sc.json")
+    sc2 = write_superchannel(tmp_path, sup.sample(Rng(151), d).c, d, name="sc2.json")
+    ch = write_channel(tmp_path, chn.random_channel(Rng(152), d, 2), name="ch.json")
+    calls = [("classify", sc), ("apply", sc, ch), ("realize", sc), ("coherence", ch, "--restarts", "2"),
+             ("distinguish", ch, sc, sc2, "--restarts", "2")]
+    for argv in calls:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        report = parse_report(out)
+        inputs = [data for p in report["config"]["inputs"] for data in matrix_data(json.loads(Path(p).read_text()))]
+        assert inputs, argv
+        assert not [data for data in matrix_data(report["results"]) if data in inputs], argv
 
 
 def test_out_file_is_deterministic(tmp_path, capsys):

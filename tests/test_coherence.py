@@ -7,6 +7,7 @@ import pytest
 
 from dephaser import channels as chn
 from dephaser import coherence as coh
+from dephaser import fixtures as fx
 from dephaser import superchannels as sup
 from dephaser import verify as ver
 from dephaser.sampling import Rng, haar_unitary, haar_vector, random_state
@@ -464,6 +465,23 @@ def test_seesaw_hadamard_perfect_discrimination():
     scs = [sup.identity_superchannel(2), sup.superchannel(flip, 2)]
     inst = coh.discrimination_seesaw(had, scs, restarts=4, rng=Rng(4))
     assert inst.p_succ > 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("seed,trials", [(7, 2), (0, None), (3, None)])
+def test_seesaw_p_succ_is_raw_within_the_tie_margin_of_one(seed, trials):
+    # criterion 3's Hadamard instance is perfectly distinguishable: p_succ is
+    # the unclipped value of the reported strategy, so roundoff can put it
+    # above 1, but by no more than the tie rule's margin of M n^2 ulps
+    cfg = ver.VerifyConfig(seed=seed, trials=trials)
+    scs = [sup.identity_superchannel(2), fx.qubit_sign_flip_superchannel()]
+    inst = coh.discrimination_seesaw(fx.hadamard_channel(), scs, restarts=cfg.count(8), rng=cfg.rng(3))
+    margin = len(scs) * 4 ** 2 * math.ulp(1.0)
+    assert abs(inst.p_succ - 1.0) <= margin
+    if trials is not None:
+        # the instance `verify --trials 2 --seed 7` reports: 3 ulps over 1, as evaluated
+        assert inst.p_succ == 1.0 + 3 * math.ulp(1.0)
+        row = next(r for r in ver.run_all(seed=seed, trials=trials) if r.cid == 3)
+        assert row.detail["p_succ"] == inst.p_succ
 
 
 def test_seesaw_classical_gate_is_blind():
