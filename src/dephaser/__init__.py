@@ -2,7 +2,7 @@
 classical transition probability.
 
 The package covers the correlation-matrix representation of such maps, their
-physical realization with pre/post memory unitaries, classification of the
+physical realization with memory states and unitaries, classification of the
 memory correlations (product / PPT / NPT), coherence monotones, a robustness
 solver with independent oracles, and a discrimination game connecting the
 two. `channels.apply` acts on states, `superchannels.apply` on channels;

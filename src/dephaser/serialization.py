@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
-from .channels import Channel, DephasingChannelC, dephasing_c, from_jam, from_kraus
+from .channels import Channel, DephasingChannelC, from_jam, from_kraus
 from .linalg import TOL_PSD
 from .superchannels import (
     DephasingSuperchannel,
@@ -154,32 +154,12 @@ def dephasing_to_json(dc: DephasingChannelC) -> dict:
     return {"dim": int(dc.dim), "correlation": matrix_to_json(dc.c)}
 
 
-def dephasing_from_json(obj) -> DephasingChannelC:
-    if not isinstance(obj, dict) or "dim" not in obj or "correlation" not in obj:
-        raise ValueError("dephasing-channel JSON needs dim and correlation fields")
-    d = _json_int(obj, "dim", "dephasing-channel")
-    c = matrix_from_json(obj["correlation"])
-    if c.shape != (d, d):
-        raise ValueError(f"correlation shape {c.shape} does not match dim {d}")
-    return dephasing_c(c)
-
-
 def realization_to_json(real: SuperRealization) -> dict:
+    """Memory states (d^2 x d, column k = s_k) and V_1 ... V_{d-1}; V_0 = 1 is implied."""
     return {
-        "us": [matrix_to_json(u) for u in real.us],
-        "vs": [matrix_to_json(v) for v in real.vs],
+        "memory_states": matrix_to_json(real.memory_states),
+        "vs": [matrix_to_json(v) for v in real.vs[1:]],
     }
-
-
-def realization_from_json(obj) -> SuperRealization:
-    if not (isinstance(obj, dict) and isinstance(obj.get("us"), list)
-            and isinstance(obj.get("vs"), list)):
-        raise ValueError("realization JSON needs us and vs fields, each a list of matrices")
-    us = tuple(matrix_from_json(u) for u in obj["us"])
-    vs = tuple(matrix_from_json(v) for v in obj["vs"])
-    if len(us) != len(vs) or not us:
-        raise ValueError("realization needs equally many us and vs")
-    return SuperRealization(us=us, vs=vs)
 
 
 def certificate_to_json(cert) -> dict:

@@ -10,7 +10,8 @@ input-side index k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,17 +67,22 @@ class InvalidCorrelationError(ValueError):
 
 @dataclass(frozen=True)
 class SuperRealization:
-    """Physical realization Xi[E] = average over k of V-side conditioning:
-
-    Xi[E](rho) = sum over env outcomes of V_i E(U_k . U_k^dag) with the
-    pre-unitaries U_k entangling a d^2-level memory (the dimension of C's
-    Gram vectors) and the post-unitaries V_i conditioned on the output index;
-    us has length d (indexed by the input basis label k), vs has length d
-    (indexed by the output basis label i), each a d^2 x d^2 unitary.
+    """Physical realization of Xi with a d^2-level memory (the dimension of
+    C's Gram vectors): input label k prepares the memory state s_k (column k
+    of the d^2 x d memory_states), output label i applies the d^2 x d^2
+    unitary vs[i] = V_i (V_0 = 1), and C is the Gram matrix of the
+    psi_(ik) = V_i s_k (see from_memory). Any unitary whose first column is
+    s_k prepares s_k; us completes one such U_k per k on first read, from
+    the raw Gram rows gram_rows that the s_k normalise.
     """
 
-    us: tuple[np.ndarray, ...]
+    memory_states: np.ndarray
     vs: tuple[np.ndarray, ...]
+    gram_rows: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def us(self) -> tuple[np.ndarray, ...]:
+        return memory_unitaries(self.gram_rows)
 
 
 @dataclass(frozen=True)
@@ -184,58 +190,72 @@ def apply_via_super_jam(sc: DephasingSuperchannel, ch: Channel) -> Channel:
 
 
 def realize(sc: DephasingSuperchannel) -> SuperRealization:
-    """Pre/post unitaries on system (x) d^2-level memory reproducing Xi.
+    """Memory states and post-unitaries on a d^2-level memory reproducing Xi.
 
     Gram vectors xi with <xi_(i'k') | xi_(ik)> = C_(ik),(i'k') are split as
-    xi_(ik) = V_i U_k |0>: U_k maps the memory ground state to the k-th
-    vector of the first block, V_0 = 1, and V_i rotates the first block onto
-    the i-th (well defined because the diagonal blocks share one Gram
-    matrix). Unitaries act on the memory factor only; the realization
-    applies U_k controlled on input index k and V_i controlled on output
-    index i.
+    xi_(ik) = V_i s_k: s_k is the k-th vector of the first block, normalised
+    row by row, V_0 = 1, and V_i rotates the first block onto the i-th (well
+    defined because the diagonal blocks share one Gram matrix). The U_k are
+    completed only when read (SuperRealization.us).
     """
     d = sc.dim
-    m = d * d
     xi = gram_vectors(sc.c)  # row a = xi_a, dimension d^2
-    e0 = np.eye(m, dtype=complex)[0]
-    us = tuple(complete_isometry([(e0, xi[k])]) for k in range(d))
-    vs = [np.eye(m, dtype=complex)]
+    vs = [np.eye(d * d, dtype=complex)]
     for i in range(1, d):
         pairs = [(xi[k], xi[i * d + k]) for k in range(d)]
         vs.append(complete_isometry(pairs))
-    return SuperRealization(us=us, vs=tuple(vs))
+    states = np.array([x / np.linalg.norm(x) for x in xi[:d]]).T
+    return SuperRealization(memory_states=states, vs=tuple(vs), gram_rows=xi[:d])
+
+
+def memory_unitaries(gram_rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One pre-unitary U_k per Gram row xi_k, with U_k |0> = xi_k / ||xi_k||."""
+    e0 = np.eye(gram_rows.shape[1], dtype=complex)[0]
+    return tuple(complete_isometry([(e0, x)]) for x in gram_rows)
+
+
+def _unitary(w: np.ndarray, m: int) -> bool:
+    return w.shape == (m, m) and np.abs(w.conj().T @ w - np.eye(m)).max() <= TOL_UNIT
+
+
+def from_memory(states, vs) -> DephasingSuperchannel:
+    """Correlation matrix of the superchannel realized by memory states s_k
+    (column k of states) and memory unitaries V_i = vs[i], V_0 included:
+
+        C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)>,  psi_(ik) = V_i s_k.
+
+    Each V_i must be unitary and each s_k a unit vector, to TOL_UNIT."""
+    states = np.asarray(states, dtype=complex)
+    vs = [np.asarray(v, dtype=complex) for v in vs]
+    m, d = states.shape
+    if len(vs) != d or not all(_unitary(v, m) for v in vs):
+        raise ValueError("need one m x m unitary V_i per memory state of length m")
+    if not np.abs(np.linalg.norm(states, axis=0) - 1.0).max() <= TOL_UNIT:
+        raise ValueError("memory states must be unit vectors")
+    return superchannel(_correlation(states, vs), d)
 
 
 def from_unitaries(us, vs) -> DephasingSuperchannel:
-    """Correlation matrix of the superchannel realized by memory unitaries:
-
-        C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)>,  psi_(ik) = V_i U_k |0>.
-
-    Always yields a valid superchannel (the construction forces unit norms
-    and shared diagonal blocks)."""
+    """from_memory of the memory states U_k |0> = us[k][:, 0]; each U_k
+    must be unitary, to TOL_UNIT."""
     us = [np.asarray(u, dtype=complex) for u in us]
-    vs = [np.asarray(v, dtype=complex) for v in vs]
     m = us[0].shape[0]
-    d = len(us)
-    if len(vs) != d:
-        raise ValueError("need as many post- as pre-unitaries")
-    for w in (*us, *vs):
-        if w.shape != (m, m) or not np.abs(w.conj().T @ w - np.eye(m)).max() <= TOL_UNIT:
-            raise ValueError("memory operators must be unitary and equally sized")
-    return superchannel(_correlation(us, vs), d)
+    if not all(_unitary(u, m) for u in us):
+        raise ValueError("memory operators must be unitary and equally sized")
+    return from_memory(np.array([u[:, 0] for u in us]).T, vs)
 
 
-def _correlation(us, vs) -> np.ndarray:
-    """C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)> of from_unitaries for
-    complex unitaries, unchecked. For unitaries it is a valid superchannel's
-    C: a Gram matrix is Hermitian PSD, each psi_(ik) is a unit vector, and
-    the diagonal block C[(i,k), (i,k')] = <U_k' 0| V_i^dag V_i |U_k 0> =
-    <U_k' 0|U_k 0> is the same for every i."""
-    m, d = us[0].shape[0], len(us)
+def _correlation(states, vs) -> np.ndarray:
+    """C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)> of from_memory, unchecked.
+    For unit states and unitary V_i it is a valid superchannel's C: a Gram
+    matrix is Hermitian PSD, each psi_(ik) is a unit vector, and the
+    diagonal block C[(i,k), (i,k')] = <s_k'| V_i^dag V_i |s_k> = <s_k'|s_k>
+    is the same for every i."""
+    m, d = states.shape
     psi = np.zeros((m, d * d), dtype=complex)
     for i in range(d):
         for k in range(d):
-            psi[:, i * d + k] = vs[i] @ us[k][:, 0]
+            psi[:, i * d + k] = vs[i] @ states[:, k]
     return (psi.conj().T @ psi).T
 
 
@@ -247,11 +267,11 @@ def identity_superchannel(d: int) -> DephasingSuperchannel:
 def sample(rng: Rng, d: int) -> DephasingSuperchannel:
     """Haar-random dephasing superchannel from random memory unitaries;
     valid by proof (see _correlation), so it is not re-validated. The 2d - 1
-    unitaries, U_k from stream k and V_i from stream d + i (V_0 = I), come
-    from one stacked QR (haar_unitaries), each drawn from its own stream."""
+    unitaries, U_k from stream k (its state s_k = U_k |0>) and V_i from
+    stream d + i (V_0 = I), come from one stacked QR (haar_unitaries)."""
     haar = haar_unitaries([rng.derive(k) for k in range(2 * d) if k != d], d * d)
     vs = [np.eye(d * d, dtype=complex), *haar[d:]]
-    return DephasingSuperchannel(dim=d, c=_correlation(haar[:d], vs))
+    return DephasingSuperchannel(dim=d, c=_correlation(haar[:d, :, 0].T, vs))
 
 
 def _nearest_product(c: np.ndarray, d: int) -> tuple[float, float]:

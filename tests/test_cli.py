@@ -31,7 +31,7 @@ def run_cli(capsys, *argv):
 
 def parse_report(out):
     report = json.loads(out)
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     return report
 
 
@@ -260,8 +260,60 @@ def test_realize_fixture(capsys):
     assert code == 0
     results = parse_report(out)["results"]
     assert results["roundtrip_residual"] < 1e-9
-    real = ser.realization_from_json(results["realization"])
-    assert len(real.us) == 3 and len(real.vs) == 3
+    assert ser.matrix_from_json(results["realization"]["memory_states"]).shape == (9, 3)
+    assert len(results["realization"]["vs"]) == 2
+
+
+@pytest.mark.parametrize("source", ["corr3_npt", "corr2_sign_flip", 1, 2, 3, 4])
+def test_realize_report_is_a_certificate(tmp_path, capsys, source):
+    # the report alone rebuilds C: psi_(ik) = V_i s_k with V_0 = 1 and
+    # C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)>, by a loop of this test's own
+    if isinstance(source, int):
+        path = write_superchannel(tmp_path, sup.sample(Rng(160 + source), source).c, source)
+    else:
+        path = fixture_path(source + ".json")
+    code, out, _ = run_cli(capsys, "realize", path)
+    assert code == 0
+    report = parse_report(out)
+    (inp,) = report["config"]["inputs"]
+    c, d = ser.correlation_from_json(json.loads(Path(inp).read_text()))
+    real = report["results"]["realization"]
+    assert set(real) == {"memory_states", "vs"}
+    states = ser.matrix_from_json(real["memory_states"])
+    vs = [np.eye(d * d)] + [ser.matrix_from_json(v) for v in real["vs"]]
+    assert states.shape == (d * d, d) and len(real["vs"]) == d - 1
+    for v in vs:
+        assert np.abs(v.conj().T @ v - np.eye(d * d)).max() <= 1e-10
+    for k in range(d):
+        assert abs(np.linalg.norm(states[:, k]) - 1.0) <= 1e-10
+    psi = {(i, k): vs[i] @ states[:, k] for i in range(d) for k in range(d)}
+    rebuilt = np.empty((d * d, d * d), dtype=complex)
+    for (i, k), a in psi.items():
+        for (i2, k2), b in psi.items():
+            rebuilt[i * d + k, i2 * d + k2] = np.vdot(b, a)
+    assert np.abs(rebuilt - c).max() <= 1e-9
+    assert report["results"]["unitarity_deviation"] <= 1e-10
+
+
+def test_realize_completes_no_memory_unitary(tmp_path, capsys, monkeypatch):
+    # the report holds the memory states, so only V_1 ... V_{d-1} are
+    # completed; the pre-unitaries U_k are completed once, on first read
+    calls = []
+    complete_isometry = sup.complete_isometry
+
+    def counting(pairs):
+        calls.append(len(pairs))
+        return complete_isometry(pairs)
+
+    monkeypatch.setattr(sup, "complete_isometry", counting)
+    sc = sup.sample(Rng(170), 3)
+    code, _, _ = run_cli(capsys, "realize", write_superchannel(tmp_path, sc.c, 3))
+    assert code == 0 and len(calls) == 2
+    real = sup.realize(sc)
+    assert len(calls) == 4
+    us = real.us
+    assert real.us is us and len(calls) == 7
+    assert all(np.array_equal(u[:, 0], real.memory_states[:, k]) for k, u in enumerate(us))
 
 
 def test_realize_invalid_superchannel(tmp_path, capsys):
@@ -783,7 +835,8 @@ def test_sample_channel_kinds(capsys, kind, d):
                 assert ch.dim == d
                 assert len(chn.to_kraus(ch)) == (d * d if rank is None else rank)
             else:
-                assert ser.dephasing_from_json(item).dim == d
+                assert item["dim"] == d
+                assert chn.dephasing_c(ser.matrix_from_json(item["correlation"])).dim == d
 
 
 def test_python_m_dephaser_runs_the_cli():

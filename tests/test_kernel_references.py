@@ -377,7 +377,7 @@ def ref_sample(rng, d):
     us = [ref_haar_unitary(rng.derive(k), d * d) for k in range(d)]
     vs = [np.eye(d * d, dtype=complex)]
     vs += [ref_haar_unitary(rng.derive(d + i), d * d) for i in range(1, d)]
-    return sup._correlation(us, vs)
+    return sup._correlation(np.array([u[:, 0] for u in us]).T, vs)
 
 
 def ref_random_channel(rng, d, rank):
@@ -781,6 +781,19 @@ def test_realize_matches_reference(monkeypatch):
         ref = sup.realize(sc)
         assert len(real.us) == len(ref.us) and len(real.vs) == len(ref.vs)
         assert all(np.array_equal(a, b) for a, b in zip(real.us + real.vs, ref.us + ref.vs))
+
+
+def test_memory_unitaries_match_reference(monkeypatch):
+    # realize completes the U_k only when they are read, so they are read
+    # here before the reference kernel is patched in; each first column is
+    # the reported memory state, bit for bit
+    cases = list(_realize_cases())
+    got = [sup.realize(sc).us for sc in cases]
+    monkeypatch.setattr(sup, "complete_isometry", ref_complete_isometry)
+    for sc, us in zip(cases, got):
+        ref = sup.realize(sc)
+        assert len(us) == sc.dim and all(np.array_equal(a, b) for a, b in zip(us, ref.us))
+        assert all(np.array_equal(u[:, 0], ref.memory_states[:, k]) for k, u in enumerate(us))
 
 
 def _isometry_cases(n, rng):
