@@ -2,11 +2,12 @@
 classical transition probability.
 
 The package covers the correlation-matrix representation of such maps, their
-physical realization with memory states and unitaries, classification of the
-memory correlations (product / PPT / NPT), coherence monotones, a robustness
-solver with independent oracles, and a discrimination game connecting the
-two. `channels.apply` acts on states, `superchannels.apply` on channels;
-both modules are exported whole to keep the two `apply` names apart.
+physical realization by memory states and their images under the memory
+unitaries, classification of the memory correlations (product / PPT / NPT),
+coherence monotones, a robustness solver with independent oracles, and a
+discrimination game connecting the two. `channels.apply` acts on states,
+`superchannels.apply` on channels; both modules are exported whole to keep
+the two `apply` names apart.
 """
 
 from . import (

@@ -21,7 +21,6 @@ from .linalg import (
     TOL_PSD,
     TOL_UNIT,
     assert_hermitian,
-    complete_isometry,
     gram_vectors,
     partial_trace,
     reshuffle,
@@ -163,24 +162,6 @@ def compose(a: Channel, b: Channel) -> Channel:
     d = a.dim
     phi = superop_matrix(a) @ superop_matrix(b)
     return Channel(dim=d, jam=reshuffle(phi, d) / d)
-
-
-def stinespring(ch: Channel, complete: bool = False) -> np.ndarray:
-    """Stinespring dilation isometry W = sum_e K_e (x) |e>_env.
-
-    W has shape (d*r, d) with environment dimension r = Kraus rank and row
-    index (i, e) -> i*r + e; Tr_env(W rho W^dag) reproduces the channel.
-    With complete=True the isometry is extended to a (d*r) x (d*r) unitary U
-    satisfying U (|phi> (x) |0>_env) = W |phi>.
-    """
-    d = ch.dim
-    ks = to_kraus(ch)
-    r = len(ks)
-    w = np.stack(ks, axis=1).reshape(d * r, d)
-    if not complete:
-        return w
-    eye = np.eye(d * r, dtype=complex)
-    return complete_isometry([(eye[j * r], w[:, j]) for j in range(d)])
 
 
 def identity_channel(d: int) -> Channel:

@@ -30,7 +30,7 @@ from . import superchannels as ssc
 from . import verify as ver
 from .sampling import Rng
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("superchannel", type=str)
     p.add_argument("channel", type=str)
 
-    p = command("realize", "memory states and post-unitaries V_1..V_{d-1} realizing a superchannel")
+    p = command("realize", "memory states s_k and their images V_i s_k realizing a superchannel")
     p.add_argument("superchannel", type=str)
 
     p = command("coherence", "coherence, robustness, and divergence bounds")
@@ -251,10 +251,11 @@ def _cmd_apply(args, tol: dict, seed: int):
 def _cmd_realize(args, tol: dict, seed: int):
     sc = ser.superchannel_from_json(_load_json(args.superchannel), tol["psd"])
     real = ssc.realize(sc)
-    rebuilt = ssc.from_memory(real.memory_states, real.vs)
-    # over what the report holds: V_1..V_{d-1} and the d >= 1 state norms
-    unit_dev = max([float(np.abs(v.conj().T @ v - np.eye(len(v))).max()) for v in real.vs[1:]]
-                   + [abs(float(n) - 1.0) for n in np.linalg.norm(real.memory_states, axis=0)])
+    rebuilt = ssc.from_memory(real.memory_states, real.images)
+    # over what the report holds: |W_i^dag W_i - S^dag S| and the d >= 1 state norms
+    s = real.memory_states
+    unit_dev = max([float(np.abs(w.conj().T @ w - s.conj().T @ s).max()) for w in real.images]
+                   + [abs(float(n) - 1.0) for n in np.linalg.norm(s, axis=0)])
     results = {
         "realization": ser.realization_to_json(real),
         "roundtrip_residual": float(np.abs(rebuilt.c - sc.c).max()),

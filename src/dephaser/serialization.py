@@ -155,10 +155,10 @@ def dephasing_to_json(dc: DephasingChannelC) -> dict:
 
 
 def realization_to_json(real: SuperRealization) -> dict:
-    """Memory states (d^2 x d, column k = s_k) and V_1 ... V_{d-1}; V_0 = 1 is implied."""
+    """Memory states S (d^2 x d, column k = s_k) and images W_i = V_i S, i = 1 ... d - 1; V_0 = 1."""
     return {
         "memory_states": matrix_to_json(real.memory_states),
-        "vs": [matrix_to_json(v) for v in real.vs[1:]],
+        "images": [matrix_to_json(w) for w in real.images],
     }
 
 

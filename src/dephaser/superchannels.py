@@ -69,20 +69,25 @@ class InvalidCorrelationError(ValueError):
 class SuperRealization:
     """Physical realization of Xi with a d^2-level memory (the dimension of
     C's Gram vectors): input label k prepares the memory state s_k (column k
-    of the d^2 x d memory_states), output label i applies the d^2 x d^2
-    unitary vs[i] = V_i (V_0 = 1), and C is the Gram matrix of the
-    psi_(ik) = V_i s_k (see from_memory). Any unitary whose first column is
-    s_k prepares s_k; us completes one such U_k per k on first read, from
-    the raw Gram rows gram_rows that the s_k normalise.
+    of the d^2 x d memory_states), output label i applies a unitary V_i
+    (V_0 = 1), and C is the Gram matrix of the psi_(ik) = V_i s_k. Only the
+    images W_i = V_i S = images[i - 1] are fixed (see from_memory): any
+    unitary extending s_k -> W_i[:, k] realizes Xi, as any unitary with first
+    column s_k prepares s_k. vs and us complete one such V_i and U_k on first
+    read, from the raw Gram rows gram_rows[i, k] = xi_(ik).
     """
 
     memory_states: np.ndarray
-    vs: tuple[np.ndarray, ...]
+    images: tuple[np.ndarray, ...]
     gram_rows: np.ndarray = field(repr=False)
 
     @functools.cached_property
+    def vs(self) -> tuple[np.ndarray, ...]:
+        return output_unitaries(self.gram_rows)
+
+    @functools.cached_property
     def us(self) -> tuple[np.ndarray, ...]:
-        return memory_unitaries(self.gram_rows)
+        return memory_unitaries(self.gram_rows[0])
 
 
 @dataclass(frozen=True)
@@ -190,22 +195,24 @@ def apply_via_super_jam(sc: DephasingSuperchannel, ch: Channel) -> Channel:
 
 
 def realize(sc: DephasingSuperchannel) -> SuperRealization:
-    """Memory states and post-unitaries on a d^2-level memory reproducing Xi.
+    """Memory states s_k and images W_i = V_i S on a d^2-level memory
+    reproducing Xi; no unitary is completed here (see SuperRealization).
 
     Gram vectors xi with <xi_(i'k') | xi_(ik)> = C_(ik),(i'k') are split as
-    xi_(ik) = V_i s_k: s_k is the k-th vector of the first block, normalised
-    row by row, V_0 = 1, and V_i rotates the first block onto the i-th (well
-    defined because the diagonal blocks share one Gram matrix). The U_k are
-    completed only when read (SuperRealization.us).
+    xi_(ik) = V_i s_k: s_k = xi_(0k) / ||xi_(0k)||, V_0 = 1, and V_i rotates
+    the first block onto the i-th (well defined because the diagonal blocks
+    share one Gram matrix), so W_i[:, k] = xi_(ik) / ||xi_(0k)||.
     """
     d = sc.dim
-    xi = gram_vectors(sc.c)  # row a = xi_a, dimension d^2
-    vs = [np.eye(d * d, dtype=complex)]
-    for i in range(1, d):
-        pairs = [(xi[k], xi[i * d + k]) for k in range(d)]
-        vs.append(complete_isometry(pairs))
-    states = np.array([x / np.linalg.norm(x) for x in xi[:d]]).T
-    return SuperRealization(memory_states=states, vs=tuple(vs), gram_rows=xi[:d])
+    rows = gram_vectors(sc.c).reshape(d, d, d * d)  # rows[i, k] = xi_(ik)
+    scaled = rows / np.array([np.linalg.norm(x) for x in rows[0]])[:, None]
+    return SuperRealization(memory_states=scaled[0].T, images=tuple(w.T for w in scaled[1:]), gram_rows=rows)
+
+
+def output_unitaries(gram_rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """V_0 = 1 and post-unitaries V_i with V_i xi_(0k) = xi_(ik), from the Gram rows gram_rows[i, k]."""
+    eye = np.eye(gram_rows.shape[2], dtype=complex)
+    return (eye, *(complete_isometry(list(zip(gram_rows[0], r))) for r in gram_rows[1:]))
 
 
 def memory_unitaries(gram_rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -218,39 +225,46 @@ def _unitary(w: np.ndarray, m: int) -> bool:
     return w.shape == (m, m) and np.abs(w.conj().T @ w - np.eye(m)).max() <= TOL_UNIT
 
 
-def from_memory(states, vs) -> DephasingSuperchannel:
+def from_memory(states, images) -> DephasingSuperchannel:
     """Correlation matrix of the superchannel realized by memory states s_k
-    (column k of states) and memory unitaries V_i = vs[i], V_0 included:
+    (column k of the m x d states) and post-unitaries V_i known by their
+    images W_i = V_i S = images[i - 1] (V_0 = 1):
 
-        C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)>,  psi_(ik) = V_i s_k.
+        C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)>,  psi_(ik) = W_i[:, k].
 
-    Each V_i must be unitary and each s_k a unit vector, to TOL_UNIT."""
+    Such unitaries V_i exist iff W_i^dag W_i = S^dag S; that and each
+    ||s_k|| = 1 are checked to TOL_UNIT."""
     states = np.asarray(states, dtype=complex)
-    vs = [np.asarray(v, dtype=complex) for v in vs]
     m, d = states.shape
-    if len(vs) != d or not all(_unitary(v, m) for v in vs):
-        raise ValueError("need one m x m unitary V_i per memory state of length m")
+    psi = np.hstack([states, *(np.asarray(w, dtype=complex) for w in images)])
+    if psi.shape != (m, d * d):
+        raise ValueError("need d - 1 images W_i, each shaped like the m x d memory states")
+    gram = psi.conj().T @ psi  # C^T; diagonal block i is W_i^dag W_i
+    blocks = np.einsum("ikil->ikl", gram.reshape(d, d, d, d))
     if not np.abs(np.linalg.norm(states, axis=0) - 1.0).max() <= TOL_UNIT:
         raise ValueError("memory states must be unit vectors")
-    return superchannel(_correlation(states, vs), d)
+    if not np.abs(blocks - blocks[0]).max() <= TOL_UNIT:
+        raise ValueError("no unitary V_i maps the memory states to W_i: W_i^dag W_i != S^dag S")
+    return superchannel(gram.T, d)
 
 
 def from_unitaries(us, vs) -> DephasingSuperchannel:
-    """from_memory of the memory states U_k |0> = us[k][:, 0]; each U_k
-    must be unitary, to TOL_UNIT."""
+    """C realized by the memory states U_k |0> = us[k][:, 0] and the V_i = vs[i],
+    V_0 included; each U_k and V_i must be unitary, to TOL_UNIT."""
     us = [np.asarray(u, dtype=complex) for u in us]
+    vs = [np.asarray(v, dtype=complex) for v in vs]
     m = us[0].shape[0]
-    if not all(_unitary(u, m) for u in us):
-        raise ValueError("memory operators must be unitary and equally sized")
-    return from_memory(np.array([u[:, 0] for u in us]).T, vs)
+    if len(vs) != len(us) or not all(_unitary(w, m) for w in us + vs):
+        raise ValueError("need one m x m unitary U_k and V_i per input and output label")
+    return superchannel(_correlation(np.array([u[:, 0] for u in us]).T, vs), len(us))
 
 
 def _correlation(states, vs) -> np.ndarray:
-    """C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)> of from_memory, unchecked.
-    For unit states and unitary V_i it is a valid superchannel's C: a Gram
-    matrix is Hermitian PSD, each psi_(ik) is a unit vector, and the
-    diagonal block C[(i,k), (i,k')] = <s_k'| V_i^dag V_i |s_k> = <s_k'|s_k>
-    is the same for every i."""
+    """C of from_memory with psi_(ik) = V_i s_k, unchecked. For unit states
+    and unitary V_i it is a valid superchannel's C: a Gram matrix is
+    Hermitian PSD, each psi_(ik) is a unit vector, and the diagonal block
+    C[(i,k), (i,k')] = <s_k'| V_i^dag V_i |s_k> = <s_k'|s_k> is the same for
+    every i."""
     m, d = states.shape
     psi = np.zeros((m, d * d), dtype=complex)
     for i in range(d):

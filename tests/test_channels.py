@@ -108,44 +108,6 @@ def test_superop_matrix_vec_action():
         assert np.abs(out - chn.apply(ch, rho)).max() < 1e-12
 
 
-def test_stinespring_identity():
-    w = chn.stinespring(chn.identity_channel(2))
-    assert w.shape == (2, 2)  # rank 1 environment
-    phase = w[0, 0] / abs(w[0, 0])
-    assert np.abs(w / phase - np.eye(2)).max() < 1e-10
-
-
-def test_stinespring_dilation_reproduces_channel():
-    rng = Rng(34)
-    for trial in range(10):
-        d = 2 + trial % 2
-        rank = 1 + int(rng.derive(trial).integers(0, d * d))
-        ch = chn.random_channel(rng.derive(100 + trial), d, rank)
-        w = chn.stinespring(ch)
-        r = w.shape[0] // d
-        rho = random_state(rng.derive(500 + trial), d)
-        big = w @ rho @ w.conj().T
-        out = partial_trace(big, (d, r), 2)
-        assert np.abs(out - chn.apply(ch, rho)).max() < 1e-10
-
-
-def test_stinespring_complete_is_unitary():
-    cases = [chn.random_channel(Rng(35), 2, 3)]
-    cases += [chn.random_channel(Rng(35).derive(10 * d + r), d, r)
-              for d in (2, 3, 4) for r in (1, d, d * d)]
-    for ch in cases:
-        d = ch.dim
-        iso = chn.stinespring(ch)
-        w = chn.stinespring(ch, complete=True)
-        n = w.shape[0]
-        assert w.shape == (n, n) and n == iso.shape[0]
-        assert np.abs(w.conj().T @ w - np.eye(n)).max() < 1e-9
-        # U (e_j (x) |0>_env) = W e_j, with row index (i, e) -> i * r_env + e
-        r_env = n // d
-        for j in range(d):
-            assert np.abs(w[:, j * r_env] - iso[:, j]).max() < 1e-9
-
-
 def test_dephasing_channel_limits():
     ones = chn.dephasing_c(np.ones((3, 3)))
     assert np.abs(chn.dephasing_channel(ones).jam - chn.identity_channel(3).jam).max() < 1e-14

@@ -31,7 +31,7 @@ def run_cli(capsys, *argv):
 
 def parse_report(out):
     report = json.loads(out)
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     return report
 
 
@@ -261,13 +261,15 @@ def test_realize_fixture(capsys):
     results = parse_report(out)["results"]
     assert results["roundtrip_residual"] < 1e-9
     assert ser.matrix_from_json(results["realization"]["memory_states"]).shape == (9, 3)
-    assert len(results["realization"]["vs"]) == 2
+    assert [ser.matrix_from_json(w).shape for w in results["realization"]["images"]] == [(9, 3)] * 2
 
 
 @pytest.mark.parametrize("source", ["corr3_npt", "corr2_sign_flip", 1, 2, 3, 4])
 def test_realize_report_is_a_certificate(tmp_path, capsys, source):
-    # the report alone rebuilds C: psi_(ik) = V_i s_k with V_0 = 1 and
-    # C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)>, by a loop of this test's own
+    # the report alone rebuilds C: psi_(0k) = s_k and psi_(ik) = W_i[:, k]
+    # (= V_i s_k) for i >= 1, C[(i,k), (i',k')] = <psi_(i'k') | psi_(ik)>, by a
+    # loop of this test's own; unitaries V_i with W_i = V_i S exist because
+    # W_i^dag W_i = S^dag S
     if isinstance(source, int):
         path = write_superchannel(tmp_path, sup.sample(Rng(160 + source), source).c, source)
     else:
@@ -278,15 +280,16 @@ def test_realize_report_is_a_certificate(tmp_path, capsys, source):
     (inp,) = report["config"]["inputs"]
     c, d = ser.correlation_from_json(json.loads(Path(inp).read_text()))
     real = report["results"]["realization"]
-    assert set(real) == {"memory_states", "vs"}
+    assert set(real) == {"memory_states", "images"}
     states = ser.matrix_from_json(real["memory_states"])
-    vs = [np.eye(d * d)] + [ser.matrix_from_json(v) for v in real["vs"]]
-    assert states.shape == (d * d, d) and len(real["vs"]) == d - 1
-    for v in vs:
-        assert np.abs(v.conj().T @ v - np.eye(d * d)).max() <= 1e-10
+    images = [ser.matrix_from_json(w) for w in real["images"]]
+    assert states.shape == (d * d, d) and len(images) == d - 1  # none at d = 1
+    assert all(w.shape == (d * d, d) for w in images)
+    for w in images:
+        assert np.abs(w.conj().T @ w - states.conj().T @ states).max() <= 1e-10
     for k in range(d):
         assert abs(np.linalg.norm(states[:, k]) - 1.0) <= 1e-10
-    psi = {(i, k): vs[i] @ states[:, k] for i in range(d) for k in range(d)}
+    psi = {(i, k): (states if i == 0 else images[i - 1])[:, k] for i in range(d) for k in range(d)}
     rebuilt = np.empty((d * d, d * d), dtype=complex)
     for (i, k), a in psi.items():
         for (i2, k2), b in psi.items():
@@ -296,8 +299,8 @@ def test_realize_report_is_a_certificate(tmp_path, capsys, source):
 
 
 def test_realize_completes_no_memory_unitary(tmp_path, capsys, monkeypatch):
-    # the report holds the memory states, so only V_1 ... V_{d-1} are
-    # completed; the pre-unitaries U_k are completed once, on first read
+    # the report holds the memory states and their images, so no unitary is
+    # completed; the V_i and the U_k are completed once each, on first read
     calls = []
     complete_isometry = sup.complete_isometry
 
@@ -308,11 +311,11 @@ def test_realize_completes_no_memory_unitary(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sup, "complete_isometry", counting)
     sc = sup.sample(Rng(170), 3)
     code, _, _ = run_cli(capsys, "realize", write_superchannel(tmp_path, sc.c, 3))
-    assert code == 0 and len(calls) == 2
+    assert code == 0 and calls == []
     real = sup.realize(sc)
-    assert len(calls) == 4
-    us = real.us
-    assert real.us is us and len(calls) == 7
+    assert calls == []
+    vs, us = real.vs, real.us
+    assert real.vs is vs and real.us is us and calls == [3, 3, 1, 1, 1]
     assert all(np.array_equal(u[:, 0], real.memory_states[:, k]) for k, u in enumerate(us))
 
 

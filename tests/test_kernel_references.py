@@ -773,14 +773,25 @@ def _realize_cases():
 
 
 def test_realize_matches_reference(monkeypatch):
+    # realize completes the U_k and the V_i only when they are read, so they
+    # are read here before the reference kernel is patched in
     cases = list(_realize_cases())
-    got = [sup.realize(sc) for sc in cases]
+    got = [(real.us, real.vs) for real in map(sup.realize, cases)]
     monkeypatch.setattr(sup, "complete_isometry", ref_complete_isometry)
     assert len(cases) >= 400
-    for sc, real in zip(cases, got):
+    for sc, (us, vs) in zip(cases, got):
         ref = sup.realize(sc)
-        assert len(real.us) == len(ref.us) and len(real.vs) == len(ref.vs)
-        assert all(np.array_equal(a, b) for a, b in zip(real.us + real.vs, ref.us + ref.vs))
+        assert len(us) == len(ref.us) and len(vs) == len(ref.vs)
+        assert all(np.array_equal(a, b) for a, b in zip(us + vs, ref.us + ref.vs))
+
+
+def test_images_match_the_completed_unitaries():
+    # the library's V_i send the memory states to the images realize reports
+    for sc in _realize_cases():
+        real = sup.realize(sc)
+        assert len(real.images) == sc.dim - 1
+        for i, w in enumerate(real.images, start=1):
+            assert np.abs(real.vs[i] @ real.memory_states - w).max() <= 1e-12
 
 
 def test_memory_unitaries_match_reference(monkeypatch):
@@ -797,10 +808,10 @@ def test_memory_unitaries_match_reference(monkeypatch):
 
 
 def _isometry_cases(n, rng):
-    """Partial maps that realize and stinespring never send: a full unitary
-    (k = n pairs), 2 <= k < n pairs with a shared Gram matrix, and source sets
-    with one exactly dependent vector, which the pivot stops on. The full
-    unitary's sources are strided views (columns), the others contiguous."""
+    """Partial maps that realize never sends: a full unitary (k = n pairs),
+    2 <= k < n pairs with a shared Gram matrix, and source sets with one
+    exactly dependent vector, which the pivot stops on. The full unitary's
+    sources are strided views (columns), the others contiguous."""
     u = haar_unitary(rng.derive(1), n)
     full = haar_unitary(rng.derive(2), n)
     yield list(zip(full.T, (u @ full).T))
@@ -824,12 +835,3 @@ def test_complete_isometry_matches_reference(n):
         s = np.array([p for p, _ in pairs]).T
         assert np.allclose(w @ s, np.array([t for _, t in pairs]).T, atol=1e-12)
         assert np.allclose(w.conj().T @ w, np.eye(n), atol=1e-12)
-
-
-def test_stinespring_unitary_matches_reference(monkeypatch):
-    chs = [chn.random_channel(Rng(23_000 + 10 * d + k), d, 1 + k % (d * d))
-           for d in (1, 2, 3, 4) for k in range(15)]
-    got = [chn.stinespring(ch, complete=True) for ch in chs]
-    monkeypatch.setattr(chn, "complete_isometry", ref_complete_isometry)
-    for ch, u in zip(chs, got):
-        assert np.array_equal(u, chn.stinespring(ch, complete=True))

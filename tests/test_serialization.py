@@ -154,14 +154,15 @@ def test_dephasing_roundtrip():
 
 
 def test_realization_roundtrip():
-    # the wire form holds the memory states and V_1 ... V_{d-1}; V_0 = 1 is implied
+    # the wire form holds the memory states S and the images W_i = V_i S for
+    # i = 1 ... d - 1; V_0 = 1 is implied
     sc = sup.sample(Rng(94), 3)
     real = sup.realize(sc)
     obj = json.loads(ser.dumps(ser.realization_to_json(real)))
-    assert set(obj) == {"memory_states", "vs"}
+    assert set(obj) == {"memory_states", "images"}
     assert np.array_equal(ser.matrix_from_json(obj["memory_states"]), real.memory_states)
-    assert len(obj["vs"]) == 2
-    for a, b in zip(obj["vs"], real.vs[1:]):
+    assert len(obj["images"]) == 2
+    for a, b in zip(obj["images"], real.images):
         assert np.array_equal(ser.matrix_from_json(a), b)
 
 

@@ -272,6 +272,18 @@ def test_from_unitaries_rejects_non_unitary():
         sup.from_unitaries(bad, [np.eye(4)] * 2)
 
 
+def test_from_memory_roundtrip_and_rejects():
+    # unitaries V_i with W_i = V_i S exist iff W_i^dag W_i = S^dag S
+    sc = sup.sample(Rng(59), 3)
+    real = sup.realize(sc)
+    states, images = real.memory_states, list(real.images)
+    assert np.abs(sup.from_memory(states, images).c - sc.c).max() < 1e-9
+    for bad in ([2 * states, images], [states, images[:1]], [states, [images[0], 1.01 * images[1]]],
+                [states, [images[0], images[1][:, [1, 0, 2]]]]):
+        with pytest.raises(ValueError):
+            sup.from_memory(*bad)
+
+
 def test_sample_valid_and_deterministic():
     for seed in range(20):
         sc1 = sup.sample(Rng(seed), 2)
