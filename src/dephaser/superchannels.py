@@ -73,8 +73,9 @@ class SuperRealization:
     (V_0 = 1), and C is the Gram matrix of the psi_(ik) = V_i s_k. Only the
     images W_i = V_i S = images[i - 1] are fixed (see from_memory): any
     unitary extending s_k -> W_i[:, k] realizes Xi, as any unitary with first
-    column s_k prepares s_k. vs and us complete one such V_i and U_k on first
-    read, from the raw Gram rows gram_rows[i, k] = xi_(ik).
+    column s_k prepares s_k. The first read of vs or us completes one such
+    V_i and U_k for every label at once, from the raw Gram rows
+    gram_rows[i, k] = xi_(ik).
     """
 
     memory_states: np.ndarray
@@ -82,12 +83,16 @@ class SuperRealization:
     gram_rows: np.ndarray = field(repr=False)
 
     @functools.cached_property
-    def vs(self) -> tuple[np.ndarray, ...]:
-        return output_unitaries(self.gram_rows)
+    def _unitaries(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        return memory_unitaries(self.gram_rows)
 
-    @functools.cached_property
+    @property
     def us(self) -> tuple[np.ndarray, ...]:
-        return memory_unitaries(self.gram_rows[0])
+        return self._unitaries[0]
+
+    @property
+    def vs(self) -> tuple[np.ndarray, ...]:
+        return self._unitaries[1]
 
 
 @dataclass(frozen=True)
@@ -209,16 +214,13 @@ def realize(sc: DephasingSuperchannel) -> SuperRealization:
     return SuperRealization(memory_states=scaled[0].T, images=tuple(w.T for w in scaled[1:]), gram_rows=rows)
 
 
-def output_unitaries(gram_rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """V_0 = 1 and post-unitaries V_i with V_i xi_(0k) = xi_(ik), from the Gram rows gram_rows[i, k]."""
+def memory_unitaries(gram_rows: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """(us, vs) from the Gram rows gram_rows[i, k] = xi_(ik): one pre-unitary
+    U_k per k with U_k |0> = xi_(0k) / ||xi_(0k)||, and V_0 = 1 and the
+    post-unitaries V_i with V_i xi_(0k) = xi_(ik)."""
     eye = np.eye(gram_rows.shape[2], dtype=complex)
-    return (eye, *(complete_isometry(list(zip(gram_rows[0], r))) for r in gram_rows[1:]))
-
-
-def memory_unitaries(gram_rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One pre-unitary U_k per Gram row xi_k, with U_k |0> = xi_k / ||xi_k||."""
-    e0 = np.eye(gram_rows.shape[1], dtype=complex)[0]
-    return tuple(complete_isometry([(e0, x)]) for x in gram_rows)
+    us = tuple(complete_isometry([(eye[0], x)]) for x in gram_rows[0])
+    return us, (eye, *(complete_isometry(list(zip(gram_rows[0], r))) for r in gram_rows[1:]))
 
 
 def _unitary(w: np.ndarray, m: int) -> bool:
@@ -236,9 +238,9 @@ def from_memory(states, images) -> DephasingSuperchannel:
     ||s_k|| = 1 are checked to TOL_UNIT."""
     states = np.asarray(states, dtype=complex)
     m, d = states.shape
-    psi = np.hstack([states, *(np.asarray(w, dtype=complex) for w in images)])
-    if psi.shape != (m, d * d):
+    if len(images) != d - 1 or any(np.shape(w) != (m, d) for w in images):
         raise ValueError("need d - 1 images W_i, each shaped like the m x d memory states")
+    psi = np.hstack([states, *images])
     gram = psi.conj().T @ psi  # C^T; diagonal block i is W_i^dag W_i
     blocks = np.einsum("ikil->ikl", gram.reshape(d, d, d, d))
     if not np.abs(np.linalg.norm(states, axis=0) - 1.0).max() <= TOL_UNIT:

@@ -279,7 +279,8 @@ def test_from_memory_roundtrip_and_rejects():
     states, images = real.memory_states, list(real.images)
     assert np.abs(sup.from_memory(states, images).c - sc.c).max() < 1e-9
     for bad in ([2 * states, images], [states, images[:1]], [states, [images[0], 1.01 * images[1]]],
-                [states, [images[0], images[1][:, [1, 0, 2]]]]):
+                [states, [images[0], images[1][:, [1, 0, 2]]]],
+                [states, [images[0][:, :2], np.hstack([images[0][:, 2:], images[1]])]]):
         with pytest.raises(ValueError):
             sup.from_memory(*bad)
 
