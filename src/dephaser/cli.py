@@ -30,7 +30,7 @@ from . import superchannels as ssc
 from . import verify as ver
 from .sampling import Rng
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

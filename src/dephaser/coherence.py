@@ -332,10 +332,11 @@ class RobustnessCertificate:
     value is R(E), attained by the primal witness: noise_channel is the
     optimal F with (J(E) + R J(F))/(1+R) diagonal (None in the
     zero-robustness branch) and classical_target is the transition matrix of
-    the classical channel reached. dual is a dual-feasible Z (Z >= 0 and
-    Z_(ik)(ik) = nu_k with sum_k nu_k = d), so lower_bound =
-    tr(Z offdiag J(E)) <= R(E) by weak duality; primal_dual_gap is the
-    certified width value - lower_bound.
+    the classical channel reached (a report omits noise_channel: R J(F) =
+    (1 + R) Diag(vec T)/d - J(E) for T = classical_target). dual is a
+    dual-feasible Z (Z >= 0 and Z_(ik)(ik) = nu_k with sum_k nu_k = d), so
+    lower_bound = tr(Z offdiag J(E)) <= R(E) by weak duality;
+    primal_dual_gap is the certified width value - lower_bound.
     """
 
     value: float
@@ -363,9 +364,10 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
 
     Solved by a feasible-start primal-dual path-following method from
     y = c0 1, Z = I: each iteration takes the HKM direction with a Mehrotra
-    predictor-corrector (sigma = (mu_aff/mu)^3), both solves sharing one
-    Cholesky of X and one of Z, and each cone takes 0.98 of its distance to
-    the boundary. The KKT matrix [[H, A^T], [A, 0]] is built once; an
+    predictor-corrector (sigma = (mu_aff/mu)^3), and each cone takes 0.98 of
+    its distance to the boundary. An iteration makes one stacked Cholesky of
+    (X, Z) and one inverse of the KKT matrix [[H, A^T], [A, 0]], which the
+    predictor and the corrector share; the matrix is built once, and an
     iteration rewrites H = Re(X^-1 o Z^T) only. Once <X, Z> <= gap_tol, Z is
     rescaled to exact dual feasibility (_repair_dual), and the method stops
     when the certified gap value - lower_bound is at most gap_tol. A lost
@@ -383,24 +385,24 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
     # constraints A x = 0 on x = (y, r): column sums of y equal r/d
     a = np.hstack([np.tile(np.eye(d), d), np.full((d, 1), -1.0 / d)])
     c0 = float(np.linalg.norm(o, 2)) + 1.0
-    y = np.full(n, c0)
     r = n * c0
-    z = np.eye(n, dtype=complex)
+    # (X, Z) in one stack; O's diagonal is zero, so y is a strided view of X's
+    xz = np.stack([o + c0 * np.eye(n), np.eye(n, dtype=complex)])
+    x, z = xz
+    y = xz.reshape(2, -1)[0, :: n + 1]
+    cong = np.empty_like(xz)
     # KKT [[H, A^T], [A, 0]] [dx; -dlambda] = [Re diag(R); 0], with dZ = herm(R - X^-1 dX Z)
     kkt = np.block([[np.zeros((n + 1, n + 1)), a.T], [a, np.zeros((d, d))]])
-    rhs = np.zeros(n + 1 + d)
 
     def direction(res: np.ndarray):
-        rhs[:n] = res.diagonal().real
-        dx = np.linalg.solve(kkt, rhs)[: n + 1]
+        dx = kinv[: n + 1, :n] @ res.diagonal().real
         dz = res - (xi * dx[:n]) @ z
         return dx, 0.5 * (dz + dz.conj().T)
 
     gap = math.inf
     try:
         for _ in range(MAX_PD_ITERS):
-            x = np.diag(y) + o
-            lis = np.linalg.inv(np.linalg.cholesky(np.stack([x, z])))
+            lis = np.linalg.inv(np.linalg.cholesky(xz))
             mu = float(np.vdot(x, z).real) / n
             gap = n * mu  # <X, Z>, the duality gap up to roundoff
             if gap <= gap_tol:
@@ -409,17 +411,19 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
                 gap = r - lower
                 if gap <= gap_tol:
                     break
-            xi = lis[0].conj().T @ lis[0]
+            lih = lis.conj().transpose(0, 2, 1)
+            xi = lih[0] @ lis[0]
             kkt[:n, :n] = (xi * z.T).real
+            kinv = np.linalg.inv(kkt)
             dxa, dza = direction(-z)
-            ap, ad = _step_lengths(lis, dxa[:n], dza, 1.0)
+            ap, ad = _step_lengths(lis, lih, cong, dxa[:n], dza, 1.0)
             mu_aff = float(np.vdot(x + ap * np.diag(dxa[:n]), z + ad * dza).real) / n
             sigma = (mu_aff / mu) ** 3
             dx, dz = direction(sigma * mu * xi - z - xi @ (dxa[:n, None] * dza))
-            ap, ad = _step_lengths(lis, dx[:n], dz, 0.98)
-            y = y + ap * dx[:n]
+            ap, ad = _step_lengths(lis, lih, cong, dx[:n], dz, 0.98)
+            y += ap * dx[:n]
             r = r + ap * dx[n]
-            z = z + ad * dz
+            z += ad * dz
         else:
             raise SolverError(f"robustness stopped at gap {gap:.1e} after {MAX_PD_ITERS} iterations")
     except np.linalg.LinAlgError as exc:
@@ -433,12 +437,15 @@ def robustness(ch: Channel, gap_tol: float = GAP_TOL,
     return cert
 
 
-def _step_lengths(lis: np.ndarray, dy: np.ndarray, dz: np.ndarray, frac: float) -> list[float]:
+def _step_lengths(lis: np.ndarray, lih: np.ndarray, cong: np.ndarray, dy: np.ndarray,
+                  dz: np.ndarray, frac: float) -> list[float]:
     """min(1, frac * the largest s keeping X + s diag(dy) and Z + s dZ PSD),
     for X and Z in turn, from lis = (Lx^-1, Lz^-1) of X = Lx Lx^H and
-    Z = Lz Lz^H: one stacked eigvalsh of the two congruent steps."""
-    lx, lz = lis
-    w = np.linalg.eigvalsh(np.stack([(lx * dy) @ lx.conj().T, lz @ dz @ lz.conj().T]))[:, 0]
+    Z = Lz Lz^H and lih = their conjugate transposes: the two congruent steps
+    are written into cong for one stacked eigvalsh."""
+    np.matmul(lis[0] * dy, lih[0], out=cong[0])
+    np.matmul(lis[1] @ dz, lih[1], out=cong[1])
+    w = np.linalg.eigvalsh(cong)[:, 0]
     return [min(1.0, -frac / v) if v < 0 else 1.0 for v in w]
 
 

@@ -163,24 +163,23 @@ def realization_to_json(real: SuperRealization) -> dict:
 
 
 def certificate_to_json(cert) -> dict:
-    out = {
+    """R, its certified bounds and the target T; the noise channel (still in the
+    certificate) is not written: R J(F) = (1 + R) Diag(vec T)/d - J(E)."""
+    return {
         "value": cert.value,
         "lower_bound": cert.lower_bound,
         "primal_dual_gap": cert.primal_dual_gap,
         "classical_target": matrix_to_json(np.asarray(cert.classical_target, dtype=complex)),
-        "noise_channel": None,
     }
-    if cert.noise_channel is not None:
-        out["noise_channel"] = channel_to_json(cert.noise_channel)
-    return out
 
 
 def instance_to_json(inst) -> dict:
-    """The strategy of a discrimination instance, psi as an n x 1 matrix; its
-    gate and superchannels are the caller's inputs and are not repeated."""
+    """The strategy of a discrimination instance: psi as an n x 1 matrix and
+    P_1 ... P_(M-1), as P_M = I - sum_(m<M) P_m; its gate and superchannels
+    are the caller's inputs and are not repeated."""
     return {
         "input_vector": matrix_to_json(inst.input_vector[:, None]),
-        "povm": [matrix_to_json(b) for b in inst.povm],
+        "povm": [matrix_to_json(b) for b in inst.povm[:-1]],
         "p_succ": inst.p_succ,
         "iteration_log": _log_summary(inst.iteration_log),
     }

@@ -31,7 +31,7 @@ def run_cli(capsys, *argv):
 
 def parse_report(out):
     report = json.loads(out)
-    assert report["schema_version"] == 5
+    assert report["schema_version"] == 6
     return report
 
 
@@ -481,6 +481,50 @@ def test_coherence_hadamard(capsys):
     assert results["divergence_bounds"][0]["dh_divergence_lower"] >= 1.0 - 1e-9
 
 
+def coherence_cases(tmp_path):
+    """Input files of coherence calls: the Hadamard fixture (R = 3), a
+    classical channel (R = 0) and sampled channels at d = 1 ... 4."""
+    t = np.array([[0.7, 0.2], [0.3, 0.8]])
+    paths = [fixture_path("hadamard_channel.json"),
+             write_channel(tmp_path, chn.classical_channel(t), name="classical.json")]
+    for d in (1, 2, 3, 4):
+        for k in range(3):
+            ch = chn.random_channel(Rng(160 + 10 * d + k), d, 1 + k % (d * d))
+            paths.append(write_channel(tmp_path, ch, name=f"ch{d}{k}.json"))
+    return paths
+
+
+def test_coherence_report_is_a_certificate(tmp_path, capsys):
+    # the robustness object and the input file fix the primal witness
+    # Y = R J(F) = (1 + R) Diag(vec T)/d - J(E); Y is rebuilt, not
+    # F = Y/R, which is ill-conditioned as R -> 0
+    for path in coherence_cases(tmp_path):
+        code, out, _ = run_cli(capsys, "coherence", path, "--eps", "0.0", "--restarts", "1")
+        assert code == 0
+        report = parse_report(out)
+        rob = report["results"]["robustness"]
+        assert set(rob) == {"value", "lower_bound", "primal_dual_gap", "classical_target"}
+        feas = report["config"]["tolerances"]["feas"]
+        (input_path,) = report["config"]["inputs"]
+        ch = ser.channel_from_json(json.loads(Path(input_path).read_text()))
+        d, r = ch.dim, rob["value"]
+        t = ser.matrix_from_json(rob["classical_target"])
+        assert t.shape == (d, d) and not t.imag.any()
+        t = t.real
+        y = (1.0 + r) * np.diag(t.reshape(-1)) / d - ch.jam
+        assert np.linalg.eigvalsh(y)[0] >= -feas
+        mix = ch.jam + y
+        assert np.abs(mix - np.diag(np.diag(mix))).max() <= feas
+        ydiag = np.einsum("ikik->ik", y.reshape(d, d, d, d)).real
+        assert np.abs(ydiag.sum(axis=0) - r / d).max() <= feas
+        assert np.abs(t.sum(axis=0) - 1.0).max() <= feas and t.min() >= -feas
+        assert r >= 0.0 and rob["lower_bound"] <= r
+        if path.endswith("hadamard_channel.json"):
+            assert abs(r - 3.0) < 1e-6
+        elif path.endswith("classical.json") or d == 1:
+            assert r == 0.0
+
+
 def test_coherence_rejects_bad_eps(capsys):
     code, _, _ = run_cli(capsys, "coherence", fixture_path("hadamard_channel.json"), "--eps", "1.0")
     assert code == 2
@@ -521,8 +565,9 @@ def distinguish_cases(tmp_path):
 
 def test_distinguish_report_is_a_certificate(tmp_path, capsys):
     # the report alone, with the files config.inputs names, fixes p_succ:
-    # rho = psi psi^dag from input_vector and the POVM, evaluated here by a
-    # Kraus sum of each Xi_m[E] (x) I, with no seesaw code
+    # rho = psi psi^dag from input_vector and the POVM, whose last effect
+    # P_M = I - sum_(m<M) P_m is rebuilt here, evaluated by a Kraus sum of
+    # each Xi_m[E] (x) I, with no seesaw code
     for argv, m in distinguish_cases(tmp_path):
         code, out, _ = run_cli(capsys, "distinguish", *argv, "--restarts", "4", "--seed", "5")
         assert code == 0
@@ -538,6 +583,8 @@ def test_distinguish_report_is_a_certificate(tmp_path, capsys):
         assert psi.shape == (d * d, 1)
         rho = psi @ psi.conj().T
         povm = [ser.matrix_from_json(p) for p in inst["povm"]]
+        assert len(povm) == m - 1
+        povm.append(np.eye(d * d) - sum(povm))
         value = 0.0
         for sc, effect in zip(scs, povm):
             out_state = sum(kl @ rho @ kl.conj().T

@@ -796,20 +796,34 @@ def test_check_certificate_rejects_a_tampered_dual(kind, residual):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_robustness_solve_count(monkeypatch, d):
-    # two KKT solves (predictor and corrector) per primal-dual iteration
-    solve = np.linalg.solve
-    calls = [0]
+def test_robustness_inverts_the_kkt_matrix_once_per_iteration(monkeypatch, d):
+    # the predictor and the corrector share one inverse of the
+    # (n + 1 + d)-square KKT matrix, and no iteration calls np.linalg.solve;
+    # each iteration starts with one Cholesky, and the last one stops there
+    inv, solve, cholesky = np.linalg.inv, np.linalg.solve, np.linalg.cholesky
+    kkt = (d * d + 1 + d,) * 2
+    calls = {"inv": 0, "solve": 0, "cholesky": 0}
 
-    def counted(*args):
-        calls[0] += 1
+    def counted_inv(a):
+        calls["inv"] += np.shape(a) == kkt
+        return inv(a)
+
+    def counted_solve(*args):
+        calls["solve"] += 1
         return solve(*args)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    def counted_cholesky(a):
+        calls["cholesky"] += 1
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     for k in range(6):
-        calls[0] = 0
+        calls.update(inv=0, solve=0, cholesky=0)
         coh.robustness(chn.random_channel(Rng(3_300 + 10 * d + k), d, 1 + k % (d * d)))
-        assert 0 < calls[0] <= 2 * 25
+        assert calls["solve"] == 0
+        assert 0 < calls["inv"] == calls["cholesky"] - 1 <= coh.MAX_PD_ITERS
 
 
 def test_robustness_unreachable_gap_is_a_solver_error():
